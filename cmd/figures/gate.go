@@ -53,8 +53,8 @@ const kValueDriftTolerance = 1.4
 // parallel win depends on cores: on a single-core host the engine runs
 // delivery inline either way and the honest ratio is ~1.0. The floor is
 // therefore set just below parity; its job is to catch the parallel
-// path growing overhead that makes it *slower* than the serial merge it
-// replaced, not to demand scaling the hardware can't give.
+// path growing overhead that makes it *slower* than inline delivery
+// (WithSerialDelivery), not to demand scaling the hardware can't give.
 const phase2GateFloor = 0.85
 
 // phase2DriftTolerance bounds how far the measured delivery speedup may
@@ -261,7 +261,7 @@ func runBenchGate(path string, seed int64) {
 		fmt.Printf("  phase-2 delivery %s n=%d shards=%d: measured %.2fx (serial %.0f ns, parallel %.0f ns), floor %.2fx (recorded %.2fx)\n",
 			m.Topology, m.N, m.Shards, m.DeliverySpeedup, m.SerialNsPerOp, m.ParallelNsPerOp, floor, p2.DeliverySpeedup)
 		if m.DeliverySpeedup < floor {
-			fmt.Printf("FAIL: parallel phase-2 delivery is only %.2fx the serial merge (floor %.2fx)\n",
+			fmt.Printf("FAIL: parallel phase-2 delivery is only %.2fx inline delivery (floor %.2fx)\n",
 				m.DeliverySpeedup, floor)
 			failed = true
 		}

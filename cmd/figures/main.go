@@ -29,14 +29,14 @@ import (
 
 func main() {
 	var (
-		fig   = flag.Int("fig", 0, "figure to regenerate (2,3,4,6,7,8); 0 = none")
-		exp   = flag.String("exp", "", "ablation experiment (A,B,C,D,E,G,H,I,J,K)")
-		all   = flag.Bool("all", false, "regenerate every figure and ablation")
-		scale = flag.Int("scale", 4, "max size index i for Figs. 3/6 (n = 2^(3i); paper: 5)")
-		runs  = flag.Int("runs", 10, "QR repetitions per size for Fig. 8 (paper: 50)")
-		qrDim = flag.Int("qrdim", 8, "max hypercube dimension for Fig. 8 (paper: 10)")
-		seed  = flag.Int64("seed", 1, "base random seed")
-		csv   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		fig       = flag.Int("fig", 0, "figure to regenerate (2,3,4,6,7,8); 0 = none")
+		exp       = flag.String("exp", "", "ablation experiment (A,B,C,D,E,G,H,I,J,K)")
+		all       = flag.Bool("all", false, "regenerate every figure and ablation")
+		scale     = flag.Int("scale", 4, "max size index i for Figs. 3/6 (n = 2^(3i); paper: 5)")
+		runs      = flag.Int("runs", 10, "QR repetitions per size for Fig. 8 (paper: 50)")
+		qrDim     = flag.Int("qrdim", 8, "max hypercube dimension for Fig. 8 (paper: 10)")
+		seed      = flag.Int64("seed", 1, "base random seed")
+		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		bench     = flag.String("bench-json", "", "measure the simulator hot path and write results to this JSON file (e.g. benches/BENCH_sim.json)")
 		benchGate = flag.String("bench-gate", "", "re-measure the sharded PCF round (metrics disabled) against the recorded baseline in this JSON file and exit non-zero on a >5% ns/op or any allocs/op regression")
 		benchSnap = flag.String("bench-snapshot", "", "measure the million-node snapshot/encode cost and merge it into this JSON file, preserving the other recorded baselines")

@@ -36,7 +36,7 @@ const phaseReportRounds = 200
 // the static partitioner cannot see.
 func runPhaseReport(emit func(*trace.Table), seed int64, shards int) {
 	for _, g := range []*topology.Graph{
-		topology.Hypercube(10),    // contiguous blocks are subcubes; CacheAware falls back
+		topology.Hypercube(10),     // contiguous blocks are subcubes; CacheAware falls back
 		topology.Torus2D(128, 128), // BFS layout beats contiguous; cross-traffic matters
 	} {
 		pt := topology.CacheAware(g, shards)

@@ -298,7 +298,7 @@ func (r *recorder) RestartNode(i int)     { r.ops = append(r.ops, fmt.Sprintf("r
 func (r *recorder) JoinNode(id int, value float64, peers []int) {
 	r.ops = append(r.ops, fmt.Sprintf("join %d v=%g peers=%v", id, value, peers))
 }
-func (r *recorder) LeaveNode(i int)       { r.ops = append(r.ops, fmt.Sprintf("leave %d", i)) }
+func (r *recorder) LeaveNode(i int) { r.ops = append(r.ops, fmt.Sprintf("leave %d", i)) }
 func (r *recorder) RewireEdge(a, b, c int) {
 	r.ops = append(r.ops, fmt.Sprintf("rewire %d-%d>%d", a, b, c))
 }

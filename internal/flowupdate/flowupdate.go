@@ -275,7 +275,7 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 	}
 	deg := len(n.neighbors)
 	grown := make([]float64, 2*(deg+1)*n.width)
-	copy(grown, n.backing[:deg*n.width])                    // flows
+	copy(grown, n.backing[:deg*n.width])                   // flows
 	copy(grown[(deg+1)*n.width:], n.backing[deg*n.width:]) // estimates
 	n.backing = grown
 	n.neighbors = append(n.neighbors, int32(neighbor))

@@ -153,12 +153,12 @@ func (e Event) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON reads the form written by MarshalJSON.
 func (e *Event) UnmarshalJSON(data []byte) error {
 	var aux struct {
-		Kind  string   `json:"kind"`
-		Round *int     `json:"round"`
-		TimeS float64  `json:"t"`
-		A     *int     `json:"a"`
-		B     *int     `json:"b"`
-		Value float64  `json:"value"`
+		Kind  string  `json:"kind"`
+		Round *int    `json:"round"`
+		TimeS float64 `json:"t"`
+		A     *int    `json:"a"`
+		B     *int    `json:"b"`
+		Value float64 `json:"value"`
 	}
 	if err := json.Unmarshal(data, &aux); err != nil {
 		return err

@@ -23,8 +23,9 @@ const (
 	PhaseDeliver
 	// PhaseErrors is one shard's slice of an oracle error probe.
 	PhaseErrors
-	// PhaseMerge is the serial outbox merge used on interceptor rounds
-	// instead of parallel delivery (timed per destination shard).
+	// PhaseMerge is the serial interception pass that follows delivery
+	// on rounds with an interceptor installed (recorded into shard slot
+	// 0).
 	PhaseMerge
 	// PhaseFlush is the serial per-round event-staging flush.
 	PhaseFlush

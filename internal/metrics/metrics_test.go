@@ -60,7 +60,7 @@ func TestBankMergeOrderIndependent(t *testing.T) {
 	apply := func(shards int, perm []int) Snapshot {
 		r := New(Config{Shards: shards})
 		for _, idx := range perm {
-			r.Bank(idx % shards).Add(kinds[idx], amounts[idx])
+			r.Bank(idx%shards).Add(kinds[idx], amounts[idx])
 		}
 		return r.Counters()
 	}

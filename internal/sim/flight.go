@@ -16,7 +16,7 @@ package sim
 //     into the SHARD's histogram bank and the WORKER's timeline track;
 //   - the caller additionally records its barrier wait (straggler
 //     signal) and each fan-out's wall-clock into shard bank 0;
-//   - the serial sections (interceptor merge, event flush, whole
+//   - the serial sections (interception pass, event flush, whole
 //     round) go to bank 0 as well.
 //
 // Concurrency: a shard's fan-out task runs on exactly one goroutine
@@ -64,7 +64,8 @@ func (fl *flight) wall(ph metrics.Phase, round int, start time.Time) {
 	fl.tl.Span(0, wp, -1, round, start, dur)
 }
 
-// serial records one caller-run serial section (merge, flush, round).
+// serial records one caller-run serial section (interception pass,
+// flush, round).
 func (fl *flight) serial(ph metrics.Phase, round int, start time.Time) {
 	dur := time.Since(start)
 	fl.rec.Timing(0).Observe(ph, dur.Nanoseconds())

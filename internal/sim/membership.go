@@ -331,7 +331,7 @@ func (e *Engine) LinkLossRate(i, j int) float64 { return e.lossRates[linkKey(i, 
 // that have carried a rate, so loss-free runs consume nothing and stay
 // byte-identical to runs on engines that predate the table. A directed
 // link's stream is advanced only by the destination shard's delivery
-// task (or the single merge/legacy thread), never concurrently.
+// task (or the legacy engine's single thread), never concurrently.
 func (e *Engine) lossDrop(from, to int) bool {
 	p, ok := e.lossRates[linkKey(from, to)]
 	if !ok {

@@ -6,8 +6,8 @@ package sim_test
 // and partitioner ∈ {contiguous, cache-aware} must produce
 // byte-identical state to the sequential WithShards(1) reference, under
 // a fault-free run, a silent-crash + transient-outage plan observed
-// only through the failure detector, and an open-world churn plan with
-// per-link loss. The topology is a heap-ordered binary tree — the
+// only through the failure detector (with and without a stateful
+// interceptor), and an open-world churn plan with per-link loss. The topology is a heap-ordered binary tree — the
 // family where the cache-aware BFS layout actually diverges from the
 // contiguous one (on hypercubes it falls back) — plus a hypercube for
 // the fallback path.
@@ -20,6 +20,7 @@ import (
 	"pcfreduce/internal/detect"
 	"pcfreduce/internal/fault"
 	"pcfreduce/internal/gossip"
+	"pcfreduce/internal/metrics"
 	"pcfreduce/internal/sim"
 	"pcfreduce/internal/topology"
 )
@@ -197,12 +198,47 @@ func lossyTreeLinks(e *sim.Engine) {
 	}
 }
 
+// deliveryInterceptors are the interception-pass cases of the delivery
+// differential. Each factory builds fresh interceptor state per run and
+// returns a probe of how much it did, so an inert case fails loudly.
+// Compose and Window hide Replicator and Injector, so Duplicate and
+// Reorder are installed bare.
+var deliveryInterceptors = []struct {
+	name string
+	mk   func() (sim.Interceptor, func() int)
+}{
+	{"none", func() (sim.Interceptor, func() int) { return nil, nil }},
+	{"loss+bitflip", func() (sim.Interceptor, func() int) {
+		bf := fault.NewBoundedBitFlip(0.02, 42)
+		return fault.Window(fault.Compose(fault.NewLoss(0.1, 41), bf), 0, 150), func() int { return bf.Flips }
+	}},
+	{"duplicate", func() (sim.Interceptor, func() int) {
+		d := fault.NewDuplicate(0.1, 43)
+		return d, func() int { return d.Dups }
+	}},
+	{"reorder", func() (sim.Interceptor, func() int) {
+		r := fault.NewReorder(0.1, 44)
+		return r, func() int { return r.Swaps }
+	}},
+}
+
+// messageCounters are the recorder counters that must agree across
+// layouts (free-list hits and misses follow per-shard pool occupancy,
+// which is a layout artifact by design).
+var messageCounters = []metrics.Counter{
+	metrics.MsgsSent, metrics.MsgsDelivered, metrics.MsgsLost, metrics.MsgsDropped,
+	metrics.Keepalives, metrics.Suspicions, metrics.Evictions, metrics.Reintegrations,
+}
+
 // TestDeliveryPathFaultsAndLoss: serial (WithSerialDelivery) and
 // parallel phase-2 delivery must be byte-identical to the sequential
 // reference for every layout in the grid, with a fault plan observed
 // through the detector AND per-link loss active — the configuration
 // where the per-destination tasks draw from loss streams and fold
-// keepalives concurrently.
+// keepalives concurrently — with no interceptor and with each stateful
+// interceptor, whose calls the serial interception pass must issue in
+// the same order on every layout. Message counters must agree too, and
+// account for every message sent exactly once.
 func TestDeliveryPathFaultsAndLoss(t *testing.T) {
 	withParallelWorkers(t, 4)
 	g := topology.BinaryTree(63)
@@ -215,23 +251,54 @@ func TestDeliveryPathFaultsAndLoss(t *testing.T) {
 	mk := allProtocols[0].mk // PCF
 	events := append(fault.LinkOutage(10, 120, 0, 1), fault.SilentNodeCrash(40, crash))
 
-	build := func(opts ...sim.EngineOption) shardFingerprint {
-		plan := fault.NewPlan(events...)
-		eng := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 11,
-			append(opts, sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))...)
-		defer eng.Close()
-		lossyTreeLinks(eng)
-		return fingerprintEngine(eng, 300, plan.OnRound)
-	}
+	for _, ic := range deliveryInterceptors {
+		t.Run(ic.name, func(t *testing.T) {
+			build := func(opts ...sim.EngineOption) (shardFingerprint, metrics.Snapshot, int) {
+				plan := fault.NewPlan(events...)
+				eng := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 11,
+					append(opts, sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))...)
+				defer eng.Close()
+				lossyTreeLinks(eng)
+				rec := metrics.New(metrics.Config{Interval: 1 << 30})
+				eng.SetMetrics(rec)
+				icpt, activity := ic.mk()
+				eng.SetInterceptor(icpt)
+				fp := fingerprintEngine(eng, 300, plan.OnRound)
+				acts := 0
+				if activity != nil {
+					acts = activity()
+				}
+				return fp, rec.Counters(), acts
+			}
+			sameCounters := func(label string, want, got metrics.Snapshot) {
+				t.Helper()
+				for _, c := range messageCounters {
+					if want.Get(c) != got.Get(c) {
+						t.Fatalf("%s: %v = %d, want %d", label, c, got.Get(c), want.Get(c))
+					}
+				}
+			}
 
-	want := build(sim.WithShards(1))
-	if want.stats.Suspicions == 0 {
-		t.Fatal("reference run registered no suspicions — fault plan inert")
-	}
-	for _, v := range layoutVariants(g) {
-		sameFingerprint(t, v.label+"/parallel vs sequential", want, build(v.opt))
-		sameFingerprint(t, v.label+"/serial vs sequential", want,
-			build(v.opt, sim.WithSerialDelivery()))
+			want, wantC, acts := build(sim.WithShards(1))
+			if want.stats.Suspicions == 0 {
+				t.Fatal("reference run registered no suspicions — fault plan inert")
+			}
+			if ic.name != "none" && acts == 0 {
+				t.Fatal("reference run's interceptor never acted — case inert")
+			}
+			sent := wantC.Get(metrics.MsgsSent) + wantC.Get(metrics.Keepalives)
+			if acct := wantC.Get(metrics.MsgsDelivered) + wantC.Get(metrics.MsgsLost) + wantC.Get(metrics.MsgsDropped); acct != sent {
+				t.Fatalf("sent+keepalives = %d, delivered+lost+dropped = %d", sent, acct)
+			}
+			for _, v := range layoutVariants(g) {
+				got, gotC, _ := build(v.opt)
+				sameFingerprint(t, v.label+"/parallel vs sequential", want, got)
+				sameCounters(v.label+"/parallel vs sequential", wantC, gotC)
+				got, gotC, _ = build(v.opt, sim.WithSerialDelivery())
+				sameFingerprint(t, v.label+"/serial vs sequential", want, got)
+				sameCounters(v.label+"/serial vs sequential", wantC, gotC)
+			}
+		})
 	}
 }
 
@@ -267,7 +334,7 @@ func TestDeliveryPathBatched(t *testing.T) {
 // per-link loss on a changing overlay) across the layout grid, each
 // layout run with both delivery paths — teardown resyncs and roster
 // changes land between rounds, so the per-destination tasks must see
-// exactly the membership the serial merge saw.
+// exactly the membership the sequential reference saw.
 func TestDeliveryPathChurn(t *testing.T) {
 	withParallelWorkers(t, 4)
 	g := topology.BinaryTree(31)

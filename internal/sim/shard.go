@@ -11,13 +11,12 @@ package sim
 //	ascending id order within its shard, drains the inbox it was left
 //	with at the end of the previous round, runs its failure detector,
 //	and pushes one message toward a random live neighbor drawn from the
-//	node's own splitmix64 stream. Outgoing messages are appended to the
-//	shard's ordered outbox; nothing is delivered yet.
+//	node's own splitmix64 stream. Each outgoing message is routed into
+//	the per-(source shard → destination shard) outbox bucket
+//	bucket[s][d]; nothing is delivered yet.
 //
-//	Phase 2 (parallel): delivery. During phase 1 every send was routed
-//	into the per-(source shard → destination shard) outbox bucket
-//	bucket[s][d]; phase 2 dispatches one delivery task per DESTINATION
-//	shard onto the same worker pool (a second WaitGroup barrier per
+//	Phase 2 (parallel): delivery. One delivery task per DESTINATION
+//	shard runs on the same worker pool (a second WaitGroup barrier per
 //	round). Task d walks its P source buckets in ascending global
 //	source id order — trivially on contiguous layouts, via a k-way
 //	head merge on arbitrary partitions — and routes each message
@@ -45,10 +44,10 @@ package sim
 // alone, so the communication schedule itself is layout-independent.
 //
 // Stateful interceptors (fault.Loss, fault.BitFlip advance private RNGs
-// per Intercept call) require the global total order of PR-era serial
-// merging, so rounds with an interceptor installed route phase 1 into
-// the flat per-source-shard outbox and run the serial cursor merge
-// instead — bit-identical to the pre-parallel-delivery executor.
+// per Intercept call) need one canonical call order: interceptor rounds
+// add a serial pass after delivery (interceptRound) over inboxes in
+// ascending destination id, each in its ascending-source arrival order —
+// node-id keys, so the call sequence is the same for every P and layout.
 //
 // Parallelism uses a persistent worker pool: the first parallel round
 // starts P−1 worker goroutines that block on a task channel; each round
@@ -152,15 +151,15 @@ type shardState struct {
 
 	// bucket[s][d] holds shard s's sends to destinations owned by shard
 	// d, in emission (ascending source id) order — the routed form that
-	// lets delivery run one task per destination shard. outbox[s] is the
-	// flat per-source-shard form used by interceptor rounds, which need
-	// the serial global-order merge.
+	// lets delivery run one task per destination shard.
 	bucket [][][]*gossip.Message
-	outbox [][]*gossip.Message // flat per-shard sends (interceptor rounds)
 	pool   [][]*gossip.Message // per-shard message free lists
 	keep   []int               // per-shard keepalive counters, folded at the barrier
 	cursor []int               // per-shard merge cursors (non-contiguous layouts)
 	dcur   [][]int             // per-destination k-way merge cursors (parallel delivery)
+
+	cut   []int             // interceptRound: per-node inbox length before delivery
+	extra []*gossip.Message // interceptRound: Injector messages, appended after the pass
 
 	errs [][]float64 // per-shard Errors scratch
 	est  [][]float64 // per-shard estimate scratch
@@ -267,11 +266,12 @@ func (e *Engine) labeled(phase string, f func(int)) func(int) {
 }
 
 // runShards executes f(s) for every shard, tagged with the given pprof
-// phase label when enabled. With one shard, one available CPU, or
-// within a nested call it runs inline (identical results — both phases
-// are order-independent across shards); otherwise shards 1..p−1 are
-// dispatched to the persistent pool while the caller runs shard 0, and
-// the WaitGroup barrier joins the phase.
+// phase label when enabled. With one shard, one available CPU, or for
+// delivery under WithSerialDelivery it runs inline in ascending shard
+// order (identical results — every phase is order-independent across
+// shards); otherwise shards 1..p−1 are dispatched to the persistent pool
+// while the caller runs shard 0, and the WaitGroup barrier joins the
+// phase.
 //
 // With the flight recorder attached (e.flight != nil) every task is
 // timed by its runner, and the caller additionally records its barrier
@@ -281,7 +281,7 @@ func (e *Engine) runShards(phase string, ph metrics.Phase, f func(int)) {
 	p := e.shards
 	f = e.labeled(phase, f)
 	fl := e.flight
-	if p == 1 || runtime.GOMAXPROCS(0) == 1 {
+	if p == 1 || runtime.GOMAXPROCS(0) == 1 || (e.serialDeliver && ph == metrics.PhaseDeliver) {
 		if fl == nil {
 			for s := 0; s < p; s++ {
 				f(s)
@@ -346,7 +346,6 @@ func (e *Engine) initShards(seed int64) {
 		shardOf: make([]int32, n),
 		nodeRNG: make([]uint64, n),
 		bucket:  make([][][]*gossip.Message, p),
-		outbox:  make([][]*gossip.Message, p),
 		pool:    make([][]*gossip.Message, p),
 		keep:    make([]int, p),
 		cursor:  make([]int, p),
@@ -443,7 +442,7 @@ func (e *Engine) draw(i, n int) int {
 }
 
 // getMsgShard takes a message off shard s's free list (phase 1: only the
-// owning worker calls this; merge: single-threaded).
+// owning worker calls this; interception pass: single-threaded).
 func (e *Engine) getMsgShard(s int) *gossip.Message {
 	pool := e.shard.pool[s]
 	if n := len(pool); n > 0 {
@@ -470,8 +469,8 @@ func (e *Engine) putMsgShard(s int, m *gossip.Message) {
 // stepSharded executes one phase-split round: phase 1 on the worker
 // pool (inline when it cannot actually run in parallel — exact same
 // results without the dispatch cost), then delivery — parallel, one
-// task per destination shard, on the same pool; or the serial
-// global-order merge when a stateful interceptor demands it.
+// task per destination shard, on the same pool — followed by the serial
+// interception pass when an interceptor is installed.
 func (e *Engine) stepSharded() {
 	fl := e.flight
 	var roundStart time.Time
@@ -487,15 +486,20 @@ func (e *Engine) stepSharded() {
 	e.inPhase1 = false
 	e.foldKeepalives()
 	if e.interceptor != nil {
+		e.shard.cut = e.shard.cut[:0]
+		for _, in := range e.inbox {
+			e.shard.cut = append(e.shard.cut, len(in))
+		}
+	}
+	e.deliverRound()
+	if e.interceptor != nil {
 		if fl == nil {
-			e.mergeOutboxes()
+			e.interceptRound()
 		} else {
 			start := time.Now()
-			e.mergeOutboxes()
+			e.interceptRound()
 			fl.serial(metrics.PhaseMerge, e.round, start)
 		}
-	} else {
-		e.deliverRound()
 	}
 	if fl == nil {
 		e.flushShardEvents()
@@ -520,24 +524,16 @@ func (e *Engine) foldKeepalives() {
 	}
 }
 
-// enqueueShard routes one of shard s's outgoing messages: into the
-// (s → destination shard) bucket normally, or into the flat per-shard
-// outbox when an interceptor is installed — stateful interceptors must
-// observe the global total order only the serial merge provides, and
-// the flat outbox preserves each node's intra-round send order (data
-// before keepalives), which bucketing by destination would lose.
+// enqueueShard routes one of shard s's outgoing messages into the
+// (s → destination shard) bucket.
 func (e *Engine) enqueueShard(s int, m *gossip.Message) {
-	if e.interceptor != nil {
-		e.shard.outbox[s] = append(e.shard.outbox[s], m)
-		return
-	}
 	d := e.shard.shardOf[m.To]
 	e.shard.bucket[s][d] = append(e.shard.bucket[s][d], m)
 }
 
 // shardPhase1 runs the local half-round of every node in shard s, in
 // ascending id order. It touches only node-local state plus the shard's
-// outbox, pool and keepalive counter — the invariant that makes the
+// buckets, pool and keepalive counter — the invariant that makes the
 // phase embarrassingly parallel.
 func (e *Engine) shardPhase1(s int) {
 	for _, i32 := range e.shard.nodes[s] {
@@ -592,7 +588,7 @@ func (e *Engine) drainInboxShard(i, s int) {
 }
 
 // shardKeepalives mirrors sendKeepalives for the phase-split model:
-// keepalives and probes are queued on the shard outbox instead of being
+// keepalives and probes are queued in the shard's buckets instead of being
 // delivered immediately, and counted per shard.
 func (e *Engine) shardKeepalives(i, s int) {
 	for _, j32 := range e.protos[i].LiveNeighbors() {
@@ -631,24 +627,6 @@ func (e *Engine) makeControlShard(from, to int, kind gossip.Kind, s int) *gossip
 // ascending shard order under WithSerialDelivery — bit-identical, since
 // the tasks touch pairwise-disjoint state).
 func (e *Engine) deliverRound() {
-	if e.serialDeliver {
-		f := e.labeled("deliver", e.shard.deliverTask)
-		fl := e.flight
-		if fl == nil {
-			for d := 0; d < e.shards; d++ {
-				f(d)
-			}
-			return
-		}
-		wall := time.Now()
-		for d := 0; d < e.shards; d++ {
-			start := time.Now()
-			f(d)
-			fl.task(0, metrics.PhaseDeliver, d, e.round, start)
-		}
-		fl.wall(metrics.PhaseDeliver, e.round, wall)
-		return
-	}
 	e.runShards("deliver", metrics.PhaseDeliver, e.shard.deliverTask)
 }
 
@@ -708,83 +686,28 @@ func (e *Engine) deliverShard(d int) {
 // task d. Dropped messages recycle into the task's own free list — the
 // pool the message would have been drained into had it been delivered —
 // so pool occupancy stays P-independent with no cross-task traffic.
-// Interceptors never reach this path (stepSharded routes interceptor
-// rounds through the serial merge).
+// With an interceptor installed, delivery is provisional: interceptRound
+// decides and counts each arrival's fate.
 func (e *Engine) routeDeliver(msg *gossip.Message, d int) {
-	key := linkKey(msg.From, msg.To)
-	if e.dead[key] || e.silenced[key] || !e.alive[msg.To] {
+	// Per-link heterogeneous loss (drawn only for reachable messages):
+	// each directed link draws from its own splitmix64 stream, touched
+	// only by the destination shard's task, so the draw sequence per link
+	// — the only sequence that matters — is identical for every shard
+	// count, layout and delivery order.
+	if e.unreachable(msg) || (e.lossRates != nil && e.lossDrop(msg.From, msg.To)) {
 		e.rec.Bank(d).Inc(metrics.MsgsLost)
 		e.putMsgShard(d, msg)
 		return
 	}
-	// Per-link heterogeneous loss: each directed link draws from its own
-	// splitmix64 stream, touched only by the destination shard's task, so
-	// the draw sequence per link — the only sequence that matters — is
-	// identical for every shard count, layout and delivery order.
-	if e.lossRates != nil && e.lossDrop(msg.From, msg.To) {
-		e.rec.Bank(d).Inc(metrics.MsgsLost)
-		e.putMsgShard(d, msg)
-		return
+	if e.interceptor == nil {
+		e.rec.Bank(d).Inc(metrics.MsgsDelivered)
 	}
-	e.rec.Bank(d).Inc(metrics.MsgsDelivered)
 	e.inbox[msg.To] = append(e.inbox[msg.To], msg)
 }
 
-// mergeOutboxes is the serial phase 2 used for interceptor rounds:
-// route every queued message into its destination inbox in ascending
-// GLOBAL source id order, so stateful-interceptor call sequences are
-// identical for every shard count and layout. On contiguous layouts
-// that order is exactly "shard 0's outbox, then shard 1's, …", so the
-// merge walks the outboxes directly; on an arbitrary partition the
-// outboxes are k-way-merged by smallest head source id (each shard's
-// outbox is id-sorted — phase 1 activates ascending — and a node's
-// sends are consecutive in its shard's outbox, so draining the head run
-// reproduces the global order without scanning every node id).
-func (e *Engine) mergeOutboxes() {
-	p := e.shards
-	if e.shard.contig {
-		for s := 0; s < p; s++ {
-			for _, m := range e.shard.outbox[s] {
-				e.routeMerged(m)
-			}
-			e.shard.outbox[s] = e.shard.outbox[s][:0]
-		}
-		return
-	}
-	cur := e.shard.cursor
-	for s := 0; s < p; s++ {
-		cur[s] = 0
-	}
-	last := -1
-	for {
-		best, bestFrom := -1, 0
-		for s := 0; s < p; s++ {
-			out := e.shard.outbox[s]
-			if cur[s] < len(out) && (best < 0 || out[cur[s]].From < bestFrom) {
-				best, bestFrom = s, out[cur[s]].From
-			}
-		}
-		if best < 0 {
-			break
-		}
-		if bestFrom < last {
-			panic(fmt.Sprintf("sim: shard %d outbox out of source id order (%d after %d)", best, bestFrom, last))
-		}
-		last = bestFrom
-		out := e.shard.outbox[best]
-		for cur[best] < len(out) && out[cur[best]].From == bestFrom {
-			e.routeMerged(out[cur[best]])
-			cur[best]++
-		}
-	}
-	for s := 0; s < p; s++ {
-		e.shard.outbox[s] = e.shard.outbox[s][:0]
-	}
-}
-
 // flushShardEvents moves phase-1-staged trace events into the
-// recorder's ring in ascending emitting-node order — the same cursor
-// merge as the outboxes, so the recorded stream is identical for every
+// recorder's ring in ascending emitting-node order — the same k-way
+// merge as delivery, so the recorded stream is identical for every
 // shard count and layout.
 func (e *Engine) flushShardEvents() {
 	if e.shard.events == nil {
@@ -875,64 +798,48 @@ func (e *Engine) rebalancePools() {
 	e.shard.surplus = surplus[:0]
 }
 
-// routeMerged applies the legacy send-path semantics (link-failure table,
-// silencing, crash check, interceptor, replication, injection) to one
-// merged message. Dropped messages are recycled into their destination
-// shard's pool — the pool the message would have been drained into had
-// it been delivered — keeping pool occupancy P-independent.
-func (e *Engine) routeMerged(msg *gossip.Message) {
-	dst := int(e.shard.shardOf[msg.To])
-	key := linkKey(msg.From, msg.To)
-	if e.dead[key] || e.silenced[key] || !e.alive[msg.To] {
-		e.rec.Bank(0).Inc(metrics.MsgsLost)
-		e.putMsgShard(dst, msg)
-		return
-	}
-	// Per-link heterogeneous loss: each directed link draws from its own
-	// stream, so the sequence per link is the same here as on the
-	// parallel delivery path.
-	if e.lossRates != nil && e.lossDrop(msg.From, msg.To) {
-		e.rec.Bank(0).Inc(metrics.MsgsLost)
-		e.putMsgShard(dst, msg)
-		return
-	}
-	if e.interceptor == nil {
-		e.rec.Bank(0).Inc(metrics.MsgsDelivered)
-		e.inbox[msg.To] = append(e.inbox[msg.To], msg)
-		return
-	}
-	if e.interceptor.Intercept(e.round, msg) {
-		copies := 1
-		if r, ok := e.interceptor.(Replicator); ok {
-			copies = r.Copies(e.round, msg)
-		}
-		if copies == 0 {
-			e.rec.Bank(0).Inc(metrics.MsgsDropped)
-			e.putMsgShard(dst, msg)
-		} else {
-			e.rec.Bank(0).Inc(metrics.MsgsDelivered)
-		}
-		for k := 0; k < copies; k++ {
-			if k == 0 {
-				e.inbox[msg.To] = append(e.inbox[msg.To], msg)
-			} else {
-				e.inbox[msg.To] = append(e.inbox[msg.To], e.cloneMsgShard(msg, dst))
+// interceptRound is the serial interception pass of an interceptor
+// round: inboxes in ascending destination id, each one's arrivals past
+// cut[i] (a hung node's older messages were intercepted on arrival) in
+// their delivered ascending-source order. Vetoed messages recycle into
+// the destination shard's pool; Injector messages are appended after
+// the pass, so they are never intercepted.
+func (e *Engine) interceptRound() {
+	inj, _ := e.interceptor.(Injector)
+	extra := e.shard.extra
+	for i, lo := range e.shard.cut {
+		in := e.inbox[i]
+		hi := len(in)
+		d := int(e.shard.shardOf[i])
+		// Survivors are appended past hi, then slid down over the arrivals.
+		for k := lo; k < hi; k++ {
+			m := in[k]
+			copies := e.intercept(m)
+			if copies == 0 {
+				e.putMsgShard(d, m)
+			}
+			for c := 0; c < copies; c++ {
+				if c == 0 {
+					in = append(in, m)
+				} else {
+					in = append(in, e.cloneMsgShard(m, d))
+				}
+			}
+			if inj != nil {
+				for _, x := range inj.Extra(e.round) {
+					if !e.unreachable(&x) {
+						extra = append(extra, e.cloneMsgShard(&x, int(e.shard.shardOf[x.To])))
+					}
+				}
 			}
 		}
-	} else {
-		e.rec.Bank(0).Inc(metrics.MsgsDropped)
-		e.putMsgShard(dst, msg)
+		e.inbox[i] = in[:lo+copy(in[lo:], in[hi:])]
 	}
-	if inj, ok := e.interceptor.(Injector); ok {
-		for _, extra := range inj.Extra(e.round) {
-			k := linkKey(extra.From, extra.To)
-			if e.dead[k] || e.silenced[k] || !e.alive[extra.To] {
-				continue
-			}
-			d := int(e.shard.shardOf[extra.To])
-			e.inbox[extra.To] = append(e.inbox[extra.To], e.cloneMsgShard(&extra, d))
-		}
+	for _, m := range extra {
+		e.inbox[m.To] = append(e.inbox[m.To], m)
 	}
+	clear(extra)
+	e.shard.extra = extra[:0]
 }
 
 // cloneMsgShard deep-copies m into a message from shard s's pool.

@@ -153,7 +153,7 @@ type Engine struct {
 	probeVal  gossip.Value      // massResidual scratch
 	probeSums []stats.Sum2      // massResidual scratch
 
-	shards    int                 // 0 = legacy sequential model; ≥ 1 = phase-split model
+	shards        int                 // 0 = legacy sequential model; ≥ 1 = phase-split model
 	shard         *shardState         // executor state of the phase-split model (shard.go)
 	partition     *topology.Partition // explicit shard layout (WithPartition); nil = contiguous
 	serialDeliver bool                // run phase-2 delivery tasks inline (WithSerialDelivery)
@@ -358,10 +358,6 @@ func (e *Engine) Reset(seed int64) {
 	if e.shards > 0 {
 		e.seedNodeRNG(seed)
 		for s := 0; s < e.shards; s++ {
-			for _, m := range e.shard.outbox[s] {
-				e.putMsgShard(s, m)
-			}
-			e.shard.outbox[s] = e.shard.outbox[s][:0]
 			for d := 0; d < e.shards; d++ {
 				for _, m := range e.shard.bucket[s][d] {
 					e.putMsgShard(s, m)
@@ -685,53 +681,61 @@ func (e *Engine) heard(i, from int) {
 // the destination inbox. The engine owns msg (pooled): dropped messages
 // are recycled immediately, delivered ones after dispatch.
 func (e *Engine) send(msg *gossip.Message) {
-	key := linkKey(msg.From, msg.To)
-	if e.dead[key] || e.silenced[key] || !e.alive[msg.To] {
+	if e.unreachable(msg) || (e.lossRates != nil && e.lossDrop(msg.From, msg.To)) {
 		e.rec.Bank(0).Inc(metrics.MsgsLost)
 		e.putMsg(msg)
-		return // sent into a broken, silenced or dead destination: lost
-	}
-	if e.lossRates != nil && e.lossDrop(msg.From, msg.To) {
-		e.rec.Bank(0).Inc(metrics.MsgsLost)
-		e.putMsg(msg)
-		return // heterogeneous per-link loss (SetLinkLoss)
+		return // broken, silenced or dead destination, or per-link loss
 	}
 	if e.interceptor == nil {
 		e.rec.Bank(0).Inc(metrics.MsgsDelivered)
 		e.inbox[msg.To] = append(e.inbox[msg.To], msg)
 		return
 	}
+	copies := e.intercept(msg)
+	if copies == 0 {
+		e.putMsg(msg)
+	}
+	for k := 0; k < copies; k++ {
+		if k == 0 {
+			e.inbox[msg.To] = append(e.inbox[msg.To], msg)
+		} else {
+			e.inbox[msg.To] = append(e.inbox[msg.To], e.cloneMsg(msg))
+		}
+	}
+	if inj, ok := e.interceptor.(Injector); ok {
+		for _, x := range inj.Extra(e.round) {
+			if !e.unreachable(&x) {
+				e.inbox[x.To] = append(e.inbox[x.To], e.cloneMsg(&x))
+			}
+		}
+	}
+}
+
+// unreachable reports whether m is lost in flight: its link failed or
+// is silenced, or its destination is dead.
+func (e *Engine) unreachable(m *gossip.Message) bool {
+	key := linkKey(m.From, m.To)
+	return e.dead[key] || e.silenced[key] || !e.alive[m.To]
+}
+
+// intercept runs the installed interceptor on msg — Intercept, then
+// Replicator.Copies — and returns how many copies to enqueue (0 drops
+// it), counting msg as delivered or dropped. Both engines share it, so
+// their interception semantics cannot drift apart.
+func (e *Engine) intercept(msg *gossip.Message) int {
+	copies := 0
 	if e.interceptor.Intercept(e.round, msg) {
-		copies := 1
+		copies = 1
 		if r, ok := e.interceptor.(Replicator); ok {
 			copies = r.Copies(e.round, msg)
 		}
-		if copies == 0 {
-			e.rec.Bank(0).Inc(metrics.MsgsDropped)
-			e.putMsg(msg)
-		} else {
-			e.rec.Bank(0).Inc(metrics.MsgsDelivered)
-		}
-		for k := 0; k < copies; k++ {
-			if k == 0 {
-				e.inbox[msg.To] = append(e.inbox[msg.To], msg)
-			} else {
-				e.inbox[msg.To] = append(e.inbox[msg.To], e.cloneMsg(msg))
-			}
-		}
-	} else {
+	}
+	if copies == 0 {
 		e.rec.Bank(0).Inc(metrics.MsgsDropped)
-		e.putMsg(msg)
+	} else {
+		e.rec.Bank(0).Inc(metrics.MsgsDelivered)
 	}
-	if inj, ok := e.interceptor.(Injector); ok {
-		for _, extra := range inj.Extra(e.round) {
-			k := linkKey(extra.From, extra.To)
-			if e.dead[k] || e.silenced[k] || !e.alive[extra.To] {
-				continue
-			}
-			e.inbox[extra.To] = append(e.inbox[extra.To], e.cloneMsg(&extra))
-		}
-	}
+	return copies
 }
 
 // cloneMsg deep-copies m into a pooled message.

@@ -6,6 +6,7 @@ import (
 
 	"pcfreduce/internal/core"
 	"pcfreduce/internal/gossip"
+	"pcfreduce/internal/metrics"
 	"pcfreduce/internal/pushflow"
 	"pcfreduce/internal/pushsum"
 	"pcfreduce/internal/topology"
@@ -131,34 +132,97 @@ func TestPushSumMassConservation(t *testing.T) {
 	}
 }
 
+// interceptorEngines are the executors every interceptor test runs on:
+// the legacy engine, whose send path intercepts inline, and sharded
+// engines, where a serial interception pass follows delivery.
+var interceptorEngines = []struct {
+	name string
+	opts []EngineOption
+}{
+	{"legacy", nil},
+	{"shards=1", []EngineOption{WithShards(1)}},
+	{"shards=3", []EngineOption{WithShards(3)}},
+}
+
+// hangWindow hangs node 2 for rounds [3, 7): messages queued for it
+// meanwhile wait in its inbox across rounds, and must not be intercepted
+// again while they wait.
+func hangWindow(e *Engine, round int) {
+	switch round {
+	case 3:
+		e.HangNode(2)
+	case 7:
+		e.ResumeNode(2)
+	}
+}
+
+// checkCounterIdentity asserts that every message put on the wire is
+// accounted for exactly once: delivered, lost in flight, or dropped by
+// the interceptor.
+func checkCounterIdentity(t *testing.T, rec *metrics.Recorder) metrics.Snapshot {
+	t.Helper()
+	c := rec.Counters()
+	in := c.Get(metrics.MsgsSent) + c.Get(metrics.Keepalives)
+	out := c.Get(metrics.MsgsDelivered) + c.Get(metrics.MsgsLost) + c.Get(metrics.MsgsDropped)
+	if in != out {
+		t.Fatalf("sent+keepalives = %d, delivered+lost+dropped = %d (%v)", in, out, c)
+	}
+	return c
+}
+
 func TestInterceptorSeesEveryMessage(t *testing.T) {
 	g := topology.Complete(5)
-	e := NewScalar(g, pfProtos(5), someInputs(5), gossip.Average, 1)
-	count := 0
-	e.SetInterceptor(InterceptorFunc(func(round int, msg *gossip.Message) bool {
-		count++
-		if msg.From == msg.To {
-			t.Fatal("self-message")
-		}
-		return true
-	}))
-	e.Run(RunConfig{MaxRounds: 10})
-	if count != 50 { // 5 nodes × 10 rounds, one send each
-		t.Fatalf("interceptor saw %d messages, want 50", count)
+	for _, tc := range interceptorEngines {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewScalar(g, pfProtos(5), someInputs(5), gossip.Average, 1, tc.opts...)
+			defer e.Close()
+			rec := metrics.New(metrics.Config{Interval: 1 << 30})
+			e.SetMetrics(rec)
+			count := 0
+			e.SetInterceptor(InterceptorFunc(func(round int, msg *gossip.Message) bool {
+				count++
+				if msg.From == msg.To {
+					t.Fatal("self-message")
+				}
+				return true
+			}))
+			e.Run(RunConfig{MaxRounds: 10, OnRound: hangWindow})
+			// 5 nodes × 10 rounds, one send each, minus node 2's four hung
+			// rounds; a message waiting in the hung inbox is seen once.
+			if count != 46 {
+				t.Fatalf("interceptor saw %d messages, want 46", count)
+			}
+			c := checkCounterIdentity(t, rec)
+			if got := c.Get(metrics.MsgsDelivered); got != 46 {
+				t.Fatalf("delivered %d messages, want 46", got)
+			}
+		})
 	}
 }
 
 func TestInterceptorDropAll(t *testing.T) {
 	g := topology.Complete(4)
-	e := NewScalar(g, pfProtos(4), someInputs(4), gossip.Average, 1)
-	e.SetInterceptor(InterceptorFunc(func(int, *gossip.Message) bool { return false }))
-	e.Run(RunConfig{MaxRounds: 20})
-	// With every message dropped, no node ever learns anything; but
-	// local estimates remain finite and the engine must not wedge.
-	for i := 0; i < 4; i++ {
-		if est := e.Protocol(i).Estimate()[0]; math.IsNaN(est) {
-			t.Fatalf("node %d estimate NaN under total message loss", i)
-		}
+	for _, tc := range interceptorEngines {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewScalar(g, pfProtos(4), someInputs(4), gossip.Average, 1, tc.opts...)
+			defer e.Close()
+			rec := metrics.New(metrics.Config{Interval: 1 << 30})
+			e.SetMetrics(rec)
+			count := 0
+			e.SetInterceptor(InterceptorFunc(func(int, *gossip.Message) bool { count++; return false }))
+			e.Run(RunConfig{MaxRounds: 20, OnRound: hangWindow})
+			// With every message dropped, no node ever learns anything; but
+			// local estimates remain finite and the engine must not wedge.
+			for i := 0; i < 4; i++ {
+				if est := e.Protocol(i).Estimate()[0]; math.IsNaN(est) {
+					t.Fatalf("node %d estimate NaN under total message loss", i)
+				}
+			}
+			c := checkCounterIdentity(t, rec)
+			if sent := c.Get(metrics.MsgsSent); uint64(count) != sent || c.Get(metrics.MsgsDropped) != sent {
+				t.Fatalf("intercepted %d, dropped %d of %d sent messages", count, c.Get(metrics.MsgsDropped), sent)
+			}
+		})
 	}
 }
 

@@ -425,10 +425,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 		clear(e.nodeCkpt)
 	}
 	for s := 0; s < e.shards; s++ {
-		for _, m := range e.shard.outbox[s] {
-			e.putMsgShard(s, m)
-		}
-		e.shard.outbox[s] = e.shard.outbox[s][:0]
 		for d := 0; d < e.shards; d++ {
 			for _, m := range e.shard.bucket[s][d] {
 				e.putMsgShard(s, m)

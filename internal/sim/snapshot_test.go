@@ -1,8 +1,8 @@
 package sim_test
 
 import (
-	"math"
 	"fmt"
+	"math"
 	"testing"
 
 	"pcfreduce/internal/core"

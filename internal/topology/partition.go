@@ -4,8 +4,8 @@ package topology
 //
 // A Partition splits the node set into p disjoint shards, each held as
 // an ascending id list. The sharded engine executes phase 1 with one
-// worker per shard and merges the per-shard outboxes with a fixed
-// ascending-source-id cursor merge, so the *content* of the shards is
+// worker per shard and delivers each destination shard's traffic in
+// ascending source id order, so the *content* of the shards is
 // purely a performance knob: any partition of the same graph produces
 // byte-identical results (see internal/sim/shard.go and DESIGN.md).
 // What the content does change is memory locality: a worker walking its

@@ -299,29 +299,35 @@ func TestWeightedReduce(t *testing.T) {
 func TestReduceSharded(t *testing.T) {
 	g := pcfreduce.Hypercube(5)
 	in := inputsFor(g)
-	run := func(shards int) pcfreduce.ReduceResult {
-		res, err := pcfreduce.Reduce(in, pcfreduce.PCF, pcfreduce.ReduceOptions{
-			Topology: g,
-			Eps:      1e-13,
-			Shards:   shards,
-		})
-		if err != nil {
-			t.Fatal(err)
+	// The lossy leg installs a stateful fault.Loss interceptor, whose
+	// calls the sharded engine must issue in the same order for every
+	// shard count.
+	for _, loss := range []float64{0, 0.05} {
+		run := func(shards int) pcfreduce.ReduceResult {
+			res, err := pcfreduce.Reduce(in, pcfreduce.PCF, pcfreduce.ReduceOptions{
+				Topology: g,
+				Eps:      1e-13,
+				Shards:   shards,
+				LossRate: loss,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("loss=%g shards=%d not converged: %.3e", loss, shards, res.MaxError)
+			}
+			return res
 		}
-		if !res.Converged {
-			t.Fatalf("shards=%d not converged: %.3e", shards, res.MaxError)
-		}
-		return res
-	}
-	ref := run(1)
-	for _, p := range []int{2, 8} {
-		got := run(p)
-		if got.Rounds != ref.Rounds {
-			t.Fatalf("shards=%d took %d rounds, shards=1 took %d", p, got.Rounds, ref.Rounds)
-		}
-		for i := range ref.Estimates {
-			if math.Float64bits(got.Estimates[i]) != math.Float64bits(ref.Estimates[i]) {
-				t.Fatalf("shards=%d node %d estimate differs from shards=1", p, i)
+		ref := run(1)
+		for _, p := range []int{2, 8} {
+			got := run(p)
+			if got.Rounds != ref.Rounds {
+				t.Fatalf("loss=%g shards=%d took %d rounds, shards=1 took %d", loss, p, got.Rounds, ref.Rounds)
+			}
+			for i := range ref.Estimates {
+				if math.Float64bits(got.Estimates[i]) != math.Float64bits(ref.Estimates[i]) {
+					t.Fatalf("loss=%g shards=%d node %d estimate differs from shards=1", loss, p, i)
+				}
 			}
 		}
 	}
