@@ -48,3 +48,45 @@ func benchFan(b *testing.B, degree int) {
 
 func BenchmarkFanDegree8(b *testing.B)  { benchFan(b, 8) }
 func BenchmarkFanDegree64(b *testing.B) { benchFan(b, 64) }
+
+// BenchmarkNodeRound runs one gossip round over 2^14 degree-14 nodes
+// (hypercube(14) neighbourhoods): every node, in ascending id, fills a
+// message toward one neighbour and that neighbour receives it. The
+// ~16k nodes' state far exceeds the L1/L2 caches, so unlike the
+// two-node BenchmarkPair* this measures the cost of reaching per-node
+// state in memory, which is what the node layout decides.
+func BenchmarkNodeRound(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		mk   func() *core.Node
+	}{{"efficient", core.NewEfficient}, {"robust", core.NewRobust}} {
+		b.Run(v.name, func(b *testing.B) { benchNodeRound(b, v.mk) })
+	}
+}
+
+func benchNodeRound(b *testing.B, mk func() *core.Node) {
+	const dim = 14
+	nodes := make([]*core.Node, 1<<dim)
+	for i := range nodes {
+		nbrs := make([]int32, dim)
+		for k := range nbrs {
+			nbrs[k] = int32(i ^ 1<<k)
+		}
+		nodes[i] = mk()
+		nodes[i].Reset(i, nbrs, gossip.Scalar(float64(i%11), 1))
+	}
+	var msg gossip.Message
+	round := func(op int) {
+		for i, nd := range nodes {
+			t := i ^ 1<<((i*5+op)%dim) // edge varies by node and round
+			nd.FillMessage(t, &msg)
+			nodes[t].Receive(msg)
+		}
+	}
+	round(0) // first-use scratch growth is set-up, not per-round cost
+	b.ReportAllocs()
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		round(op)
+	}
+}

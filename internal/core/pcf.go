@@ -94,30 +94,38 @@ type edgeSnapshot struct {
 
 // Node is the push-cancel-flow state machine for a single node.
 //
-// Per-neighbor edge state lives in struct-of-arrays form, parallel to
-// the neighbor list: edge k's two flow slots are slots[2k] and
-// slots[2k+1], and every slot's X vector is a view into one shared
-// backing array, so the robust variant's local-mass computation (one
-// pass over all slots per send) streams through contiguous memory. The
-// map only translates sender ids to edge indices on the receive path of
-// high-degree nodes.
+// All of a node's floats live in one allocation, laid out as
+//
+//	init | ϕ | scratch | fx | fw
+//
+// init, ϕ and scratch are width-float vectors (their weights sit in the
+// Value headers); fx holds the 2·deg slot payloads, width floats each,
+// with edge k's two flow slots at 2k and 2k+1; fw holds the 2·deg slot
+// weights. Slots have no Value headers of their own: reads build a view
+// on the fly (slot) and writes go through addSlot/setSlot/negSlot/
+// zeroSlot, which keep gossip.Value's per-component arithmetic, so every
+// result is bitwise what the Value algebra computes. Every float is one
+// dependent load away from the Node, and the robust variant's
+// local-mass pass (one sweep over all slots per send) streams through
+// contiguous memory. Neighbor ids and the live list share one []int32;
+// the id → edge-index map exists only above denseScanMax neighbors, and
+// the per-edge eviction snapshots only once a link has failed.
 type Node struct {
 	variant   Variant
 	id        int
-	neighbors []int32
-	live      []int32
+	width     int
+	neighbors []int32 // edge k's neighbor id
+	live      []int32 // live neighbors, in reintegration order; capacity deg
 	init      gossip.Value
 	phi       gossip.Value // ϕ: accumulated flow mass
+	scratch   gossip.Value // reused by FillMessage/EstimateInto
+	fx        []float64    // slot payloads: 2·deg·width floats
+	fw        []float64    // slot weights: 2·deg floats
+	c         []uint8      // active slot per edge: 0 or 1 (wire: 1 or 2)
+	r         []uint64     // role-change counter per edge
 
-	slots   []gossip.Value // 2 per edge; X views into backing
-	backing []float64      // flat slot payloads: 2·deg·width floats
-	c       []uint8        // active slot per edge: 0 or 1 (wire: 1 or 2)
-	r       []uint64       // role-change counter per edge
-	saved   []*edgeSnapshot
-
-	idx     map[int32]int // neighbor id → edge index
-	width   int
-	scratch gossip.Value // reused by FillMessage/EstimateInto
+	saved []*edgeSnapshot // per edge; nil until the first OnLinkFailure
+	idx   map[int32]int   // neighbor id → edge index; nil up to denseScanMax neighbors
 }
 
 // denseScanMax bounds the neighborhood size up to which edgeIndex uses a
@@ -144,6 +152,19 @@ func (n *Node) edgeIndex(neighbor int) int {
 	return -1
 }
 
+// index builds the id → edge-index map once the node has more than
+// denseScanMax neighbors; below that edgeIndex scans and the map stays
+// nil.
+func (n *Node) index() {
+	n.idx = nil
+	if len(n.neighbors) > denseScanMax {
+		n.idx = make(map[int32]int, len(n.neighbors))
+		for k, j := range n.neighbors {
+			n.idx[j] = k
+		}
+	}
+}
+
 // New returns an uninitialized PCF node with the given variant; callers
 // must Reset it (engines do this automatically).
 func New(v Variant) *Node { return &Node{variant: v} }
@@ -158,43 +179,87 @@ func NewRobust() *Node { return New(VariantRobust) }
 func (n *Node) Variant() Variant { return n.variant }
 
 // Reset implements gossip.Protocol. A repeated Reset over the same
-// neighborhood and value width zeroes the existing edge state in place
+// neighborhood and value width zeroes the existing state in place
 // instead of reallocating it, so restarting a trial on a reused engine
 // does not allocate.
 func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
-	reuse := n.idx != nil && n.width == init.Width() && sameInt32s(n.neighbors, neighbors)
+	w := init.Width()
+	if n.init.X != nil && n.width == w && sameInt32s(n.neighbors, neighbors) {
+		clear(n.phi.X)
+		clear(n.fx)
+		clear(n.fw)
+	} else {
+		n.width = w
+		n.carve(len(neighbors))
+		copy(n.neighbors, neighbors)
+		n.c = make([]uint8, len(neighbors))
+		n.r = make([]uint64, len(neighbors))
+		n.index()
+	}
 	n.id = node
-	n.neighbors = append(n.neighbors[:0], neighbors...)
-	n.live = append(n.live[:0], neighbors...)
+	n.live = append(n.live[:0], n.neighbors...)
 	n.init.Set(init)
-	n.width = init.Width()
-	if reuse {
-		n.phi.Zero()
-		for s := range n.slots {
-			n.slots[s].Zero()
-		}
-		for k := range n.c {
-			n.c[k] = 0
-			n.r[k] = 1
-			n.saved[k] = nil
-		}
-		return
-	}
-	deg := len(neighbors)
-	n.phi = gossip.NewValue(n.width)
-	n.backing = make([]float64, 2*deg*n.width)
-	n.slots = make([]gossip.Value, 2*deg)
-	for s := range n.slots {
-		n.slots[s].X = n.backing[s*n.width : (s+1)*n.width]
-	}
-	n.c = make([]uint8, deg)
-	n.r = make([]uint64, deg)
-	n.saved = make([]*edgeSnapshot, deg)
-	n.idx = make(map[int32]int, deg)
-	for k, j := range neighbors {
+	n.phi.W = 0
+	clear(n.c)
+	for k := range n.r {
 		n.r[k] = 1
-		n.idx[j] = k
 	}
+	n.saved = nil
+}
+
+// carve allocates a zeroed float block and id list sized for deg edges
+// at the node's width and points every view into them. Each view is
+// capped at its own extent, so no view can grow into its neighbor.
+func (n *Node) carve(deg int) {
+	w := n.width
+	f := make([]float64, 3*w+2*deg*(w+1))
+	n.init.X = f[:w:w]
+	n.phi.X = f[w : 2*w : 2*w]
+	n.scratch.X = f[2*w : 3*w : 3*w]
+	n.fx = f[3*w : 3*w+2*deg*w : 3*w+2*deg*w]
+	n.fw = f[3*w+2*deg*w:]
+	ids := make([]int32, 2*deg)
+	n.neighbors = ids[:deg:deg]
+	n.live = ids[deg:deg]
+}
+
+// slot returns a view of flow slot s: X aliases the node's payloads, W
+// is a copy of the slot's weight.
+func (n *Node) slot(s int) gossip.Value {
+	w := n.width
+	return gossip.Value{X: n.fx[s*w : (s+1)*w : (s+1)*w], W: n.fw[s]}
+}
+
+// addSlot sets slot s ← slot s + v (gossip.Value.AddInPlace).
+func (n *Node) addSlot(s int, v gossip.Value) {
+	x := n.fx[s*n.width : (s+1)*n.width]
+	x = x[:len(v.X)]
+	for i, y := range v.X {
+		x[i] += y
+	}
+	n.fw[s] += v.W
+}
+
+// setSlot sets slot s ← v (gossip.Value.Set).
+func (n *Node) setSlot(s int, v gossip.Value) {
+	copy(n.fx[s*n.width:(s+1)*n.width], v.X)
+	n.fw[s] = v.W
+}
+
+// negSlot sets slot s ← −v (gossip.Value.SetNeg).
+func (n *Node) negSlot(s int, v gossip.Value) {
+	x := n.fx[s*n.width : (s+1)*n.width]
+	x = x[:len(v.X)]
+	for i, y := range v.X {
+		x[i] = -y
+	}
+	n.fw[s] = -v.W
+}
+
+// zeroSlot sets slot s to zero (gossip.Value.Zero).
+func (n *Node) zeroSlot(s int) {
+	clear(n.fx[s*n.width : (s+1)*n.width])
+	n.fw[s] = 0
 }
 
 // local returns the node's current mass: v − ϕ for the efficient
@@ -206,13 +271,21 @@ func (n *Node) local() gossip.Value {
 }
 
 // localInto computes the node's current mass into dst without allocating
-// (beyond growing dst once to the value width).
+// (beyond growing dst once to the value width). The robust variant
+// subtracts the slots from each component in ascending slot order, the
+// order of a SubInPlace per slot.
 func (n *Node) localInto(dst *gossip.Value) {
 	dst.Set(n.init)
 	dst.SubInPlace(n.phi)
 	if n.variant == VariantRobust {
-		for s := range n.slots {
-			dst.SubInPlace(n.slots[s])
+		x, w := dst.X, n.width
+		for s := 0; s < len(n.fw); s++ {
+			for i, y := range n.fx[s*w : (s+1)*w] {
+				x[i] -= y
+			}
+		}
+		for _, y := range n.fw {
+			dst.W -= y
 		}
 	}
 }
@@ -236,13 +309,13 @@ func (n *Node) FillMessage(target int, msg *gossip.Message) {
 	}
 	n.localInto(&n.scratch)
 	n.scratch.HalfInPlace()
-	n.slots[2*k+int(n.c[k])].AddInPlace(n.scratch)
+	n.addSlot(2*k+int(n.c[k]), n.scratch)
 	if n.variant == VariantEfficient {
 		n.phi.AddInPlace(n.scratch) // line 32: ϕ ← ϕ + e/2
 	}
 	msg.From, msg.To, msg.Kind = n.id, target, gossip.KindData
-	msg.Flow1.Set(n.slots[2*k])
-	msg.Flow2.Set(n.slots[2*k+1])
+	msg.Flow1.Set(n.slot(2 * k))
+	msg.Flow2.Set(n.slot(2*k + 1))
 	msg.C = n.c[k] + 1 // wire format counts slots from 1, as the paper does
 	msg.R = n.r[k]
 }
@@ -289,10 +362,10 @@ func (n *Node) Receive(msg gossip.Message) {
 			n.r[k] = msg.R
 			for s := 0; s < 2; s++ {
 				if n.variant == VariantEfficient {
-					n.phi.SubInPlace(n.slots[2*k+s])
+					n.phi.SubInPlace(n.slot(2*k + s))
 					n.phi.SubInPlace(peerF[s])
 				}
-				n.slots[2*k+s].SetNeg(peerF[s])
+				n.negSlot(2*k+s, peerF[s])
 			}
 		}
 		return // otherwise stale: wait for a current message
@@ -300,20 +373,18 @@ func (n *Node) Receive(msg gossip.Message) {
 
 	a := int(n.c[k]) // active slot
 	p := 1 - a       // passive slot
-	fa := &n.slots[2*k+a]
-	fp := &n.slots[2*k+p]
 
 	// Lines 10–12: the active slot runs plain push-flow.
 	if n.variant == VariantEfficient {
 		// ϕ ← ϕ − (f(i,j,a) + f(j,i,a)); the flow then becomes −f(j,i,a),
 		// keeping ϕ equal to the node's net outflow.
-		n.phi.SubInPlace(*fa)
+		n.phi.SubInPlace(n.slot(2*k + a))
 		n.phi.SubInPlace(peerF[a])
 	}
-	fa.SetNeg(peerF[a])
+	n.negSlot(2*k+a, peerF[a])
 
 	switch {
-	case peerF[p].EqualNeg(*fp) && n.r[k] == msg.R:
+	case peerF[p].EqualNeg(n.slot(2*k+p)) && n.r[k] == msg.R:
 		// Lines 13–16, case (i): flow conservation achieved on the
 		// passive slot — cancel our half.
 		n.cancel(k, p)
@@ -340,10 +411,10 @@ func (n *Node) Receive(msg gossip.Message) {
 		// completes the cancellation against our unmodified half.
 		if n.r[k] == msg.R {
 			if n.variant == VariantEfficient {
-				n.phi.SubInPlace(*fp)
+				n.phi.SubInPlace(n.slot(2*k + p))
 				n.phi.SubInPlace(peerF[p])
 			}
-			fp.SetNeg(peerF[p])
+			n.negSlot(2*k+p, peerF[p])
 		}
 	}
 }
@@ -353,9 +424,9 @@ func (n *Node) Receive(msg gossip.Message) {
 // for it) and zeroes the slot.
 func (n *Node) cancel(k, s int) {
 	if n.variant == VariantRobust {
-		n.phi.AddInPlace(n.slots[2*k+s])
+		n.phi.AddInPlace(n.slot(2*k + s))
 	}
-	n.slots[2*k+s].Zero()
+	n.zeroSlot(2*k + s)
 }
 
 // Estimate implements gossip.Protocol.
@@ -395,10 +466,13 @@ func (n *Node) LocalValue() gossip.Value { return n.local() }
 // survivors' initial-data aggregate — the two differ by O(ε(t_crash)/n).
 func (n *Node) OnLinkFailure(neighbor int) {
 	if k := n.edgeIndex(neighbor); k >= 0 {
-		f0, f1 := &n.slots[2*k], &n.slots[2*k+1]
+		f0, f1 := n.slot(2*k), n.slot(2*k+1)
 		// Freeze the edge state first: if the "failure" turns out to be a
 		// false suspicion or a transient outage, OnLinkRecover reinstates
 		// it and the eviction becomes a no-op in retrospect.
+		if n.saved == nil {
+			n.saved = make([]*edgeSnapshot, len(n.neighbors))
+		}
 		n.saved[k] = &edgeSnapshot{
 			f: [2]gossip.Value{f0.Clone(), f1.Clone()},
 			c: n.c[k],
@@ -407,11 +481,11 @@ func (n *Node) OnLinkFailure(neighbor int) {
 		if n.variant == VariantRobust {
 			// Fold the slots into ϕ so the estimate v − ϕ − Σf is
 			// unchanged by the zeroing below.
-			n.phi.AddInPlace(*f0)
-			n.phi.AddInPlace(*f1)
+			n.phi.AddInPlace(f0)
+			n.phi.AddInPlace(f1)
 		}
-		f0.Zero()
-		f1.Zero()
+		n.zeroSlot(2 * k)
+		n.zeroSlot(2*k + 1)
 		n.c[k] = 0
 		n.r[k] = 1
 	}
@@ -437,22 +511,21 @@ func (n *Node) OnLinkRecover(neighbor int) {
 	if k < 0 || contains(n.live, int32(neighbor)) {
 		return
 	}
-	f0, f1 := &n.slots[2*k], &n.slots[2*k+1]
-	if s := n.saved[k]; s != nil {
+	if s := n.savedEdge(k); s != nil {
 		if n.variant == VariantRobust {
 			// Take the slots back out of ϕ; with the slots reinstated
 			// below, v − ϕ − Σf is unchanged.
 			n.phi.SubInPlace(s.f[0])
 			n.phi.SubInPlace(s.f[1])
 		}
-		f0.Set(s.f[0])
-		f1.Set(s.f[1])
+		n.setSlot(2*k, s.f[0])
+		n.setSlot(2*k+1, s.f[1])
 		n.c[k] = s.c
 		n.r[k] = s.r
 		n.saved[k] = nil
 	} else {
-		f0.Zero()
-		f1.Zero()
+		n.zeroSlot(2 * k)
+		n.zeroSlot(2*k + 1)
 		n.c[k] = 0
 		n.r[k] = 1
 	}
@@ -470,7 +543,7 @@ func (n *Node) Flow(neighbor int) gossip.Value {
 	if k < 0 {
 		return gossip.NewValue(n.width)
 	}
-	return n.slots[2*k].Add(n.slots[2*k+1])
+	return n.slot(2 * k).Add(n.slot(2*k + 1))
 }
 
 // RoleState returns the (active slot, role counter) control state for the
@@ -497,19 +570,19 @@ func (n *Node) Slots(neighbor int) (f [2]gossip.Value, ok bool) {
 	if k < 0 {
 		return f, false
 	}
-	return [2]gossip.Value{n.slots[2*k].Clone(), n.slots[2*k+1].Clone()}, true
+	return [2]gossip.Value{n.slot(2 * k).Clone(), n.slot(2*k + 1).Clone()}, true
 }
 
 // SlotViews implements gossip.SlotsViewer: the non-cloning form of
 // Slots for the metrics anti-symmetry probe. The returned views alias
-// the node's slot backing and are valid only until its next state
+// the node's slot payloads and are valid only until its next state
 // change.
 func (n *Node) SlotViews(neighbor int) (f [2]gossip.Value, ok bool) {
 	k := n.edgeIndex(neighbor)
 	if k < 0 {
 		return f, false
 	}
-	return [2]gossip.Value{n.slots[2*k], n.slots[2*k+1]}, true
+	return [2]gossip.Value{n.slot(2 * k), n.slot(2*k + 1)}, true
 }
 
 // LocalValueInto implements gossip.MassReader: LocalValue without the
@@ -531,28 +604,38 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 		if contains(n.live, int32(neighbor)) {
 			return
 		}
-		n.slots[2*k].Zero()
-		n.slots[2*k+1].Zero()
+		n.zeroSlot(2 * k)
+		n.zeroSlot(2*k + 1)
 		n.c[k] = 0
 		n.r[k] = 1
-		n.saved[k] = nil
+		if n.saved != nil {
+			n.saved[k] = nil
+		}
 		n.live = append(n.live, int32(neighbor))
 		return
 	}
-	deg := len(n.neighbors)
-	grown := make([]float64, 2*(deg+1)*n.width)
-	copy(grown, n.backing)
-	n.backing = grown
-	n.neighbors = append(n.neighbors, int32(neighbor))
-	n.slots = append(n.slots, gossip.Value{}, gossip.Value{})
-	for s := range n.slots {
-		n.slots[s].X = n.backing[s*n.width : (s+1)*n.width]
-	}
+	// Regrow the block and id list by one edge. Edge k keeps index k, so
+	// the new edge's slots 2·deg and 2·deg+1 start at zero.
+	old := *n
+	deg := len(old.neighbors)
+	n.carve(deg + 1)
+	copy(n.init.X, old.init.X)
+	copy(n.phi.X, old.phi.X)
+	copy(n.fx, old.fx)
+	copy(n.fw, old.fw)
+	copy(n.neighbors, old.neighbors)
+	n.neighbors[deg] = int32(neighbor)
+	n.live = append(append(n.live, old.live...), int32(neighbor))
 	n.c = append(n.c, 0)
 	n.r = append(n.r, 1)
-	n.saved = append(n.saved, nil)
-	n.idx[int32(neighbor)] = deg
-	n.live = append(n.live, int32(neighbor))
+	if n.saved != nil {
+		n.saved = append(n.saved, nil)
+	}
+	if n.idx != nil {
+		n.idx[int32(neighbor)] = deg
+	} else {
+		n.index()
+	}
 }
 
 // AbsorbMass implements gossip.OpenMembership: fold a gracefully
@@ -560,6 +643,14 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 // the slots are untouched, so the local estimate rises by exactly v.
 func (n *Node) AbsorbMass(v gossip.Value) {
 	n.init.AddInPlace(v)
+}
+
+// savedEdge returns edge k's frozen pre-eviction state, or nil.
+func (n *Node) savedEdge(k int) *edgeSnapshot {
+	if n.saved == nil {
+		return nil
+	}
+	return n.saved[k]
 }
 
 func remove(list []int32, x int32) []int32 {

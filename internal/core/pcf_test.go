@@ -436,6 +436,150 @@ func TestResetReuse(t *testing.T) {
 	if !a.Phi().IsZero() {
 		t.Fatal("ϕ after Reset")
 	}
+
+	// Resetting over the same neighborhood and width reuses the node's
+	// storage — dmGS and eigen restart every reduction through
+	// ResetWithInputs on this path — on both sides of the id-map cutoff
+	// and after an eviction allocated the edge snapshots.
+	for _, deg := range []int{2, denseScanMax + 8} {
+		nbrs := make([]int32, deg)
+		for k := range nbrs {
+			nbrs[k] = int32(k + 1)
+		}
+		init := gossip.Vector([]float64{3, 0.25}, 1)
+		a.Reset(0, nbrs, init)
+		a.MakeMessage(1)
+		a.OnLinkFailure(2)
+		if allocs := testing.AllocsPerRun(20, func() { a.Reset(0, nbrs, init) }); allocs != 0 {
+			t.Fatalf("degree %d: Reset over the same neighborhood allocates %v times", deg, allocs)
+		}
+		if len(a.LiveNeighbors()) != deg || !a.Phi().IsZero() || !a.Flow(1).IsZero() {
+			t.Fatalf("degree %d: in-place Reset left state behind", deg)
+		}
+		if c, r := a.RoleState(2); c != 1 || r != 1 {
+			t.Fatalf("degree %d: in-place Reset left role state (%d, %d)", deg, c, r)
+		}
+	}
+}
+
+// star returns a hub with the given number of spoke neighbors (ids
+// 1..deg) and the spokes, after a few exchange rounds so every edge
+// carries nonzero slots and advanced handshake state.
+func star(v Variant, deg int) (*Node, []*Node) {
+	hub := New(v)
+	nbrs := make([]int32, deg)
+	for k := range nbrs {
+		nbrs[k] = int32(k + 1)
+	}
+	hub.Reset(0, nbrs, gossip.Vector([]float64{1.0 / 3, 0.1, 7}, 1))
+	spokes := make([]*Node, deg+1)
+	for j := 1; j <= deg; j++ {
+		spokes[j] = New(v)
+		spokes[j].Reset(j, []int32{0}, gossip.Vector([]float64{float64(j) / 7, 0.3, -1}, 1))
+	}
+	for round := 0; round < 5; round++ {
+		for j := 1; j <= deg; j++ {
+			spokes[j].Receive(hub.MakeMessage(j))
+			hub.Receive(spokes[j].MakeMessage(0))
+		}
+	}
+	return hub, spokes
+}
+
+func sameBits(a, b gossip.Value) bool {
+	if len(a.X) != len(b.X) || math.Float64bits(a.W) != math.Float64bits(b.W) {
+		return false
+	}
+	for i, x := range a.X {
+		if math.Float64bits(x) != math.Float64bits(b.X[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestNeighborJoinCrossesMapCutoff grows a node from denseScanMax to
+// denseScanMax+2 neighbors, the point where edge lookup switches from
+// the linear scan to the id map: every existing edge must stay
+// reachable with its slots, role state and frozen eviction snapshot
+// intact, and the new edges must start clean and work.
+func TestNeighborJoinCrossesMapCutoff(t *testing.T) {
+	for _, v := range []Variant{VariantEfficient, VariantRobust} {
+		hub, _ := star(v, denseScanMax)
+		hub.OnLinkFailure(5)
+		type edge struct {
+			f    [2]gossip.Value
+			c    uint8
+			r    uint64
+			snap *edgeSnapshot
+		}
+		before := map[int]edge{}
+		for j := 1; j <= denseScanMax; j++ {
+			f, _ := hub.Slots(j)
+			c, r := hub.RoleState(j)
+			before[j] = edge{f, c, r, hub.savedEdge(hub.edgeIndex(j))}
+		}
+		phi, mass := hub.Phi(), hub.LocalValue()
+
+		for _, id := range []int{100, 101} {
+			hub.OnNeighborJoin(id)
+		}
+		if hub.idx == nil {
+			t.Fatalf("%v: no id map above %d neighbors", v, denseScanMax)
+		}
+		for j, e := range before {
+			f, ok := hub.Slots(j)
+			c, r := hub.RoleState(j)
+			if !ok || !sameBits(f[0], e.f[0]) || !sameBits(f[1], e.f[1]) || c != e.c || r != e.r {
+				t.Fatalf("%v: edge to %d changed by the join", v, j)
+			}
+			if hub.savedEdge(hub.edgeIndex(j)) != e.snap {
+				t.Fatalf("%v: eviction snapshot of edge to %d changed by the join", v, j)
+			}
+		}
+		if !sameBits(hub.Phi(), phi) || !sameBits(hub.LocalValue(), mass) {
+			t.Fatalf("%v: join moved ϕ or the local mass", v)
+		}
+		for _, id := range []int{100, 101} {
+			f, ok := hub.Slots(id)
+			if c, r := hub.RoleState(id); !ok || !f[0].IsZero() || !f[1].IsZero() || c != 1 || r != 1 {
+				t.Fatalf("%v: joined edge to %d does not start clean", v, id)
+			}
+		}
+		if got := len(hub.LiveNeighbors()); got != denseScanMax+1 {
+			t.Fatalf("%v: %d live neighbors, want %d", v, got, denseScanMax+1)
+		}
+
+		hub.OnLinkRecover(5)
+		if f, _ := hub.Slots(5); !sameBits(f[0], before[5].snap.f[0]) || !sameBits(f[1], before[5].snap.f[1]) {
+			t.Fatalf("%v: recovery after the join did not reinstate the frozen edge", v)
+		}
+		msg := hub.MakeMessage(101)
+		if msg.Flow1.IsZero() && msg.Flow2.IsZero() {
+			t.Fatalf("%v: send on the joined edge carried no flow", v)
+		}
+	}
+}
+
+// TestRobustLocalMatchesSlotSum pins the robust variant's local mass
+// against a reference v − ϕ − Σ f built from one Value subtraction per
+// slot in edge order, bit for bit, at a width where summation order
+// shows.
+func TestRobustLocalMatchesSlotSum(t *testing.T) {
+	hub, _ := star(VariantRobust, 6)
+	want := hub.init.Clone()
+	want.SubInPlace(hub.phi)
+	for _, j := range hub.neighbors {
+		f, _ := hub.Slots(int(j))
+		want.SubInPlace(f[0])
+		want.SubInPlace(f[1])
+	}
+	if want.IsZero() || hub.Flow(3).IsZero() {
+		t.Fatal("reference is trivial — the test exercises nothing")
+	}
+	if got := hub.LocalValue(); !sameBits(got, want) {
+		t.Fatalf("local mass %v, reference %v", got, want)
+	}
 }
 
 // Eviction followed by reintegration: a one-sided false suspicion zeroes

@@ -173,13 +173,14 @@ type shardState struct {
 
 	surplus []*gossip.Message // rebalancePools scratch
 
-	// phase1Task and deliverTask are the bound method values handed to
-	// runShards every round. Bound once at init: creating a method value
-	// at the call site would heap-allocate per round (the func escapes
-	// through labeled and the pool's task channel), and the bench gate
-	// pins the sharded round's allocs/op.
+	// phase1Task, deliverTask and errorsTask are the bound method values
+	// handed to runShards every round. Bound once at init: creating a
+	// method value or closure at the call site would heap-allocate per
+	// call (the func escapes through labeled and the pool's task
+	// channel), and the bench gate pins the sharded round's allocs/op.
 	phase1Task  func(int)
 	deliverTask func(int)
+	errorsTask  func(int)
 
 	workers *workerPool // persistent phase-1 workers; nil until first parallel round
 }
@@ -402,6 +403,7 @@ func (e *Engine) initShards(seed int64) {
 	}
 	ss.phase1Task = e.shardPhase1
 	ss.deliverTask = e.deliverShard
+	ss.errorsTask = e.errorsShard
 	e.shard = ss
 	e.seedNodeRNG(seed)
 }
@@ -858,9 +860,7 @@ func (e *Engine) cloneMsgShard(m *gossip.Message, s int) *gossip.Message {
 // scan, for every shard layout.
 func (e *Engine) errorsSharded() []float64 {
 	p := e.shards
-	e.runShards("errors", metrics.PhaseErrors, func(s int) {
-		e.shard.errs[s] = e.errorsRange(s, e.shard.errs[s][:0])
-	})
+	e.runShards("errors", metrics.PhaseErrors, e.shard.errorsTask)
 	e.errBuf = e.errBuf[:0]
 	if e.shard.contig {
 		for s := 0; s < p; s++ {
@@ -881,6 +881,11 @@ func (e *Engine) errorsSharded() []float64 {
 		cur[s]++
 	}
 	return e.errBuf
+}
+
+// errorsShard refills shard s's Errors scratch.
+func (e *Engine) errorsShard(s int) {
+	e.shard.errs[s] = e.errorsRange(s, e.shard.errs[s][:0])
 }
 
 // errorsRange appends the worst relative error of every alive node in

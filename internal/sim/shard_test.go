@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"pcfreduce/internal/core"
@@ -267,5 +268,35 @@ func TestShardConvergence(t *testing.T) {
 		if est := eng.Protocol(0).Estimate()[0]; math.Abs(est-want) > 1e-8 {
 			t.Fatalf("P=%d estimate %.12g, want %.12g", p, est, want)
 		}
+	}
+}
+
+// TestShardedRoundAllocFree pins the steady-state sharded round — Step
+// plus the Errors scan every Run round performs — at zero allocations
+// on a two-shard engine whose phases really run on the worker pool.
+// Every task handed to runShards must be bound once at set-up; a
+// closure built per call escapes through the pool's task channel.
+func TestShardedRoundAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := topology.Hypercube(8)
+	protos := make([]gossip.Protocol, g.N())
+	for i := range protos {
+		protos[i] = core.NewEfficient()
+	}
+	inputs := make([]float64, g.N())
+	for i := range inputs {
+		inputs[i] = float64(i%13) + 0.5
+	}
+	e := sim.NewScalar(g, protos, inputs, gossip.Average, 5, sim.WithShards(2))
+	defer e.Close()
+	for r := 0; r < 96; r++ { // inbox and bucket high-water marks settle
+		e.Step()
+		e.Errors()
+	}
+	if a := testing.AllocsPerRun(50, func() { e.Step() }); a != 0 {
+		t.Errorf("Step: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { e.Errors() }); a != 0 {
+		t.Errorf("Errors: %v allocs/op, want 0", a)
 	}
 }
