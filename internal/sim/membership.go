@@ -137,7 +137,7 @@ func (e *Engine) JoinNode(id int, value float64, peers []int) {
 		want += len(peers)
 	}
 	e.inbox = append(e.inbox, make([]*gossip.Message, 0, want))
-	e.perm = append(e.perm, id)
+	e.perm = append(e.perm, int32(id))
 	if e.nodeCkpt != nil {
 		e.nodeCkpt = append(e.nodeCkpt, nil)
 	}
@@ -150,14 +150,12 @@ func (e *Engine) JoinNode(id int, value float64, peers []int) {
 		}
 		e.lastSent = append(e.lastSent, make([]int, id+1))
 	}
-	if e.shard != nil {
-		// Appending to the last shard keeps its id list ascending (a join's
-		// id is always the current maximum), and the id-derived stream makes
-		// the node's schedule P-independent.
-		e.shard.nodeRNG = append(e.shard.nodeRNG, mix64(uint64(e.seed)^(uint64(id)+1)*0x632BE59BD9B4E019))
-		e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
-		e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
-	}
+	// Appending to the last shard keeps its id list ascending (a join's id
+	// is always the current maximum), and the id-derived stream makes the
+	// node's schedule P-independent.
+	e.shard.nodeRNG = append(e.shard.nodeRNG, mix64(uint64(e.seed)^(uint64(id)+1)*0x632BE59BD9B4E019))
+	e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
+	e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
 	for _, j := range peers {
 		e.membership(j).OnNeighborJoin(id)
 		e.layoutAppend(j, id)
@@ -331,7 +329,7 @@ func (e *Engine) LinkLossRate(i, j int) float64 { return e.lossRates[linkKey(i, 
 // that have carried a rate, so loss-free runs consume nothing and stay
 // byte-identical to runs on engines that predate the table. A directed
 // link's stream is advanced only by the destination shard's delivery
-// task (or the legacy engine's single thread), never concurrently.
+// task (or the sequential model's single thread), never concurrently.
 func (e *Engine) lossDrop(from, to int) bool {
 	p, ok := e.lossRates[linkKey(from, to)]
 	if !ok {
@@ -379,7 +377,7 @@ func (e *Engine) seedLossRNG(seed int64) {
 	e.lossStreams = nil
 }
 
-// Phase-split teardown conservation. In the legacy sequential model,
+// Phase-split teardown conservation. In the sequential model,
 // messages on an edge are totally ordered (a node drains its inbox
 // before sending, and delivery is immediate), so after flushLink the two
 // sides of an edge are in a handshake-consistent state and tearing the
@@ -402,7 +400,7 @@ func (e *Engine) seedLossRNG(seed int64) {
 // any protocol (each message is an ordinary protocol step, so the
 // exchange is conservation-neutral by construction). The sync is gated
 // on the phase-split model: sequential edges are already consistent
-// after the flush, and skipping the extra exchange keeps legacy runs
+// after the flush, and skipping the extra exchange keeps sequential runs
 // bit-identical to golden recordings.
 
 // teardownPair notifies both endpoints of the flushed link (i, j) going
@@ -410,7 +408,7 @@ func (e *Engine) seedLossRNG(seed int64) {
 // re-synchronizing the pair state in the phase-split model so the
 // teardown is a pure mass redistribution (see above).
 func (e *Engine) teardownPair(i, j int) {
-	if e.shards > 0 && e.alive[i] && e.alive[j] && !e.hung[i] && !e.hung[j] &&
+	if !e.seq && e.alive[i] && e.alive[j] && !e.hung[i] && !e.hung[j] &&
 		containsID(e.protos[i].LiveNeighbors(), j) && containsID(e.protos[j].LiveNeighbors(), i) {
 		e.syncExchange(i, j)
 		e.syncExchange(j, i)
@@ -432,14 +430,14 @@ func (e *Engine) teardownPair(i, j int) {
 // syncExchange performs one immediate protocol send from i to j — the
 // sequential-model delivery discipline — as part of an edge resync.
 func (e *Engine) syncExchange(i, j int) {
-	m := e.getMsg()
+	m := e.getMsg(e.owner(i))
 	if f, ok := e.protos[i].(gossip.MessageFiller); ok {
 		f.FillMessage(j, m)
 	} else {
 		*m = e.protos[i].MakeMessage(j)
 	}
 	e.dispatch(j, m)
-	e.putMsg(m)
+	e.putMsg(e.owner(j), m)
 }
 
 func containsID(list []int32, id int) bool {
@@ -530,11 +528,9 @@ func (e *Engine) dropMembership() {
 		if e.nodeCkpt != nil {
 			e.nodeCkpt = e.nodeCkpt[:n]
 		}
-		if e.shard != nil {
-			e.shard.nodeRNG = e.shard.nodeRNG[:n]
-			e.shard.shardOf = e.shard.shardOf[:n]
-			e.shard.nodes[e.shards-1] = e.shard.nodes[e.shards-1][:e.shard.baseLast]
-		}
+		e.shard.nodeRNG = e.shard.nodeRNG[:n]
+		e.shard.shardOf = e.shard.shardOf[:n]
+		e.shard.nodes[e.shards-1] = e.shard.nodes[e.shards-1][:e.shard.baseLast]
 	}
 	e.overlay = nil
 	e.lossRates = nil

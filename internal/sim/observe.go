@@ -31,12 +31,8 @@ func (e *Engine) SetMetrics(rec *metrics.Recorder) {
 		e.updateFlight()
 		return
 	}
-	banks := 1
-	if e.shards > 0 {
-		banks = e.shards
-	}
-	rec.EnsureBanks(banks)
-	if e.shard != nil && e.shard.events == nil {
+	rec.EnsureBanks(e.shards)
+	if e.shard.events == nil {
 		e.shard.events = make([][]metrics.Event, e.shards)
 	}
 	if e.probeSums == nil {
@@ -72,7 +68,7 @@ func (e *Engine) Timeline() *metrics.Timeline { return e.timeline }
 // phase timing on".
 func (e *Engine) updateFlight() {
 	e.flight = nil
-	if e.shards == 0 {
+	if e.seq {
 		return
 	}
 	timing := e.rec.TimingEnabled()
@@ -86,27 +82,17 @@ func (e *Engine) updateFlight() {
 	e.flight = &flight{rec: e.rec, tl: e.timeline}
 }
 
-// metricsBank returns the counter bank node i's activation may write:
-// its shard's bank under the phase-split model, bank 0 otherwise.
-// Callers must hold e.rec != nil.
-func (e *Engine) metricsBank(i int) *metrics.Bank {
-	if e.shard != nil {
-		return e.rec.Bank(int(e.shard.shardOf[i]))
-	}
-	return e.rec.Bank(0)
-}
-
-// noteEvent records a trace event. During sharded phase 1 the event is
-// staged in the emitting node's shard buffer (flushed at the round
+// noteEvent records a trace event. During phase-split phase 1 the event
+// is staged in the emitting node's shard buffer (flushed at the round
 // barrier in ascending node order — see flushShardEvents); everywhere
-// else — the legacy round loop and the fault-injection methods, which
-// run between rounds — it goes straight into the recorder's ring.
+// else — the sequential round loop and the fault-injection methods,
+// which run between rounds — it goes straight into the recorder's ring.
 // No-op without a recorder.
 func (e *Engine) noteEvent(ev metrics.Event) {
 	if e.rec == nil {
 		return
 	}
-	if e.inPhase1 && e.shard != nil && ev.A >= 0 {
+	if e.inPhase1 && ev.A >= 0 {
 		s := e.shard.shardOf[ev.A]
 		e.shard.events[s] = append(e.shard.events[s], ev)
 		return
@@ -218,7 +204,7 @@ func (e *Engine) massResidual() (mass, inflight float64) {
 // −1 when the protocol exposes no flow state (e.g. push-sum).
 //
 // Violations are expected while exchanges are in flight; the probe is
-// most meaningful after Drain on the legacy engine (where it must be
+// most meaningful after Drain on the sequential model (where it must be
 // zero for flow protocols) and as a churn trend under failures.
 func (e *Engine) antiSymViolations() int {
 	n := len(e.protos)

@@ -1,19 +1,26 @@
 package sim
 
-// Sharded deterministic round execution.
+// The round executor, shared by both round models.
 //
-// WithShards(P) switches the engine from the legacy sequential-activation
-// round model to a *phase-split* model designed to parallelize across P
+// Every engine holds one shardState: the node shards, their message free
+// lists, outbox buckets, keepalive counters, staged trace events and
+// error-scan scratch. A sequential engine (no WithShards/WithPartition)
+// has one shard holding every node; WithShards(P) or WithPartition
+// switches to the *phase-split* model, designed to parallelize across P
 // node shards while producing byte-identical results for every shard
-// count (including P=1) and every shard layout:
+// count (including P=1) and every shard layout. Both models run the
+// same node body (activate) and differ only in activation order,
+// push-target stream and where emit sends a message (sim.go).
+//
+// A phase-split round (stepSharded) has two phases:
 //
 //	Phase 1 (parallel, one worker per shard): every live node, in
-//	ascending id order within its shard, drains the inbox it was left
-//	with at the end of the previous round, runs its failure detector,
-//	and pushes one message toward a random live neighbor drawn from the
-//	node's own splitmix64 stream. Each outgoing message is routed into
-//	the per-(source shard → destination shard) outbox bucket
-//	bucket[s][d]; nothing is delivered yet.
+//	ascending id order within its shard, is activated: it drains the
+//	inbox it was left with at the end of the previous round, runs its
+//	failure detector, and pushes one message toward a random live
+//	neighbor drawn from the node's own splitmix64 stream. Each outgoing
+//	message is routed into the per-(source shard → destination shard)
+//	outbox bucket bucket[s][d]; nothing is delivered yet.
 //
 //	Phase 2 (parallel): delivery. One delivery task per DESTINATION
 //	shard runs on the same worker pool (a second WaitGroup barrier per
@@ -59,15 +66,15 @@ package sim
 // spawn.
 //
 // The phase-split model is deliberately NOT schedule-compatible with the
-// legacy engine: sequential activation delivers a message sent earlier
+// sequential one: sequential activation delivers a message sent earlier
 // in a round to a node activated later in the *same* round, a dependency
 // chain through the activation permutation (plus a single global RNG
-// stream) that cannot be parallelized bit-exactly. Engines without
-// WithShards keep the legacy model unchanged — golden files recorded
-// against it stay valid — while sharded engines trade same-round
-// delivery for next-round delivery, which is the standard synchronous
-// gossip model and converges at the same asymptotic rate (each exchange
-// just spans a round boundary). See DESIGN.md for the full argument.
+// stream) that cannot be parallelized bit-exactly. Sequential engines
+// keep that schedule — golden files recorded against it stay valid —
+// while phase-split engines trade same-round delivery for next-round
+// delivery, which is the standard synchronous gossip model and
+// converges at the same asymptotic rate (each exchange just spans a
+// round boundary). See DESIGN.md for the full argument.
 
 import (
 	"context"
@@ -89,9 +96,8 @@ import (
 // for every p — the shard count only selects how much of phase 1 runs
 // concurrently — so p is purely a performance knob: p=1 for strictly
 // serial execution with the same semantics, p≈GOMAXPROCS for large
-// topologies. The activation-order option is ignored in this model
-// (activation is always ascending by id, and unobservable anyway since
-// deliveries happen between rounds).
+// topologies. Activation is ascending by id within each shard, and
+// unobservable anyway since deliveries happen between rounds.
 func WithShards(p int) EngineOption {
 	if p < 1 {
 		panic(fmt.Sprintf("sim: WithShards requires p >= 1, got %d", p))
@@ -134,14 +140,20 @@ func WithPhaseLabels() EngineOption {
 }
 
 // Shards returns the configured shard count (0 when the engine runs the
-// legacy sequential-activation model).
-func (e *Engine) Shards() int { return e.shards }
+// sequential model).
+func (e *Engine) Shards() int {
+	if e.seq {
+		return 0
+	}
+	return e.shards
+}
 
-// shardState holds the executor state of the phase-split model. All
-// slices indexed by source shard are touched only by the owning worker
-// during phase 1; bucket COLUMNS (fixed destination index) and the
-// per-destination structures are touched only by the owning delivery
-// task during phase 2.
+// shardState holds the executor state of both round models; the
+// sequential model uses one shard and leaves the buckets, merge cursors
+// and interception scratch empty. All slices indexed by source shard
+// are touched only by the owning worker during phase 1; bucket COLUMNS
+// (fixed destination index) and the per-destination structures are
+// touched only by the owning delivery task during phase 2.
 type shardState struct {
 	nodes    [][]int32 // per-shard ascending node-id lists
 	shardOf  []int32   // node id → shard index
@@ -246,7 +258,7 @@ func (w *workerPool) close() { w.once.Do(func() { close(w.stop) }) }
 // next parallel round — Close is for callers that want deterministic
 // goroutine lifetimes (tests, long-lived processes cycling engines).
 func (e *Engine) Close() {
-	if e.shard != nil && e.shard.workers != nil {
+	if e.shard.workers != nil {
 		e.shard.workers.close()
 		e.shard.workers = nil
 	}
@@ -329,8 +341,7 @@ func (e *Engine) runShards(phase string, ph metrics.Phase, f func(int)) {
 	fl.wall(ph, e.round, wall)
 }
 
-// initShards builds the shard structures; called from New and only when
-// e.shards > 0.
+// initShards builds the shard structures; called from New.
 func (e *Engine) initShards(seed int64) {
 	n := e.graph.N()
 	if e.partition != nil {
@@ -443,31 +454,6 @@ func (e *Engine) draw(i, n int) int {
 	return int(hi)
 }
 
-// getMsgShard takes a message off shard s's free list (phase 1: only the
-// owning worker calls this; interception pass: single-threaded).
-func (e *Engine) getMsgShard(s int) *gossip.Message {
-	pool := e.shard.pool[s]
-	if n := len(pool); n > 0 {
-		m := pool[n-1]
-		e.shard.pool[s] = pool[:n-1]
-		e.rec.Bank(s).Inc(metrics.FreeListHits)
-		return m
-	}
-	e.rec.Bank(s).Inc(metrics.FreeListMisses)
-	return &gossip.Message{Flow1: gossip.NewValue(e.width), Flow2: gossip.NewValue(e.width)}
-}
-
-// putMsgShard recycles a message into shard s's free list, with the same
-// width-restoring guard as the global putMsg.
-func (e *Engine) putMsgShard(s int, m *gossip.Message) {
-	if cap(m.Flow1.X) < e.width || cap(m.Flow2.X) < e.width {
-		return
-	}
-	m.Flow1.X = m.Flow1.X[:e.width]
-	m.Flow2.X = m.Flow2.X[:e.width]
-	e.shard.pool[s] = append(e.shard.pool[s], m)
-}
-
 // stepSharded executes one phase-split round: phase 1 on the worker
 // pool (inline when it cannot actually run in parallel — exact same
 // results without the dispatch cost), then delivery — parallel, one
@@ -517,8 +503,8 @@ func (e *Engine) stepSharded() {
 	e.round++
 }
 
-// foldKeepalives folds the per-shard phase-1 keepalive counters into the
-// engine total at the round barrier.
+// foldKeepalives folds the per-shard keepalive counters into the engine
+// total at the end of a round.
 func (e *Engine) foldKeepalives() {
 	for s := 0; s < e.shards; s++ {
 		e.keepalives += e.shard.keep[s]
@@ -526,103 +512,9 @@ func (e *Engine) foldKeepalives() {
 	}
 }
 
-// enqueueShard routes one of shard s's outgoing messages into the
-// (s → destination shard) bucket.
-func (e *Engine) enqueueShard(s int, m *gossip.Message) {
-	d := e.shard.shardOf[m.To]
-	e.shard.bucket[s][d] = append(e.shard.bucket[s][d], m)
-}
-
-// shardPhase1 runs the local half-round of every node in shard s, in
-// ascending id order. It touches only node-local state plus the shard's
-// buckets, pool and keepalive counter — the invariant that makes the
-// phase embarrassingly parallel.
-func (e *Engine) shardPhase1(s int) {
-	for _, i32 := range e.shard.nodes[s] {
-		i := int(i32)
-		if !e.alive[i] || e.hung[i] {
-			continue
-		}
-		p := e.protos[i]
-		e.drainInboxShard(i, s)
-		if e.det != nil {
-			for _, j := range e.det[i].Check(float64(e.round)) {
-				p.OnLinkFailure(j)
-				if !e.canReint[i] {
-					e.det[i].Remove(j)
-				}
-				if e.rec != nil {
-					b := e.rec.Bank(s)
-					b.Inc(metrics.Suspicions)
-					b.Inc(metrics.Evictions)
-					e.shard.events[s] = append(e.shard.events[s], metrics.Event{Kind: metrics.EvLinkEvicted, Round: e.round, A: i, B: j})
-				}
-			}
-		}
-		if live := p.LiveNeighbors(); len(live) > 0 {
-			target := int(live[e.draw(i, len(live))])
-			e.noteSent(i, target)
-			e.rec.Bank(s).Inc(metrics.MsgsSent)
-			m := e.getMsgShard(s)
-			if f, ok := p.(gossip.MessageFiller); ok {
-				f.FillMessage(target, m)
-			} else {
-				*m = p.MakeMessage(target)
-			}
-			e.enqueueShard(s, m)
-		}
-		if e.det != nil {
-			e.shardKeepalives(i, s)
-		}
-	}
-}
-
-// drainInboxShard processes node i's frozen inbox (messages merged at
-// the end of the previous round), recycling each into the draining
-// shard's own free list.
-func (e *Engine) drainInboxShard(i, s int) {
-	for k := 0; k < len(e.inbox[i]); k++ {
-		m := e.inbox[i][k]
-		e.dispatch(i, m)
-		e.putMsgShard(s, m)
-	}
-	e.inbox[i] = e.inbox[i][:0]
-}
-
-// shardKeepalives mirrors sendKeepalives for the phase-split model:
-// keepalives and probes are queued in the shard's buckets instead of being
-// delivered immediately, and counted per shard.
-func (e *Engine) shardKeepalives(i, s int) {
-	for _, j32 := range e.protos[i].LiveNeighbors() {
-		j := int(j32)
-		if e.round-e.lastSent[i][j] >= e.detCfg.KeepaliveInterval {
-			e.noteSent(i, j)
-			e.shard.keep[s]++
-			e.rec.Bank(s).Inc(metrics.Keepalives)
-			e.enqueueShard(s, e.makeControlShard(i, j, gossip.KindKeepalive, s))
-		}
-	}
-	for _, j := range e.det[i].Suspects() {
-		if e.round-e.lastSent[i][j] >= e.detCfg.ProbeInterval {
-			e.noteSent(i, j)
-			e.shard.keep[s]++
-			e.rec.Bank(s).Inc(metrics.Keepalives)
-			e.enqueueShard(s, e.makeControlShard(i, j, gossip.KindKeepalive, s))
-		}
-	}
-}
-
-// makeControlShard is makeControl drawing from shard s's free list.
-func (e *Engine) makeControlShard(from, to int, kind gossip.Kind, s int) *gossip.Message {
-	m := e.getMsgShard(s)
-	m.From, m.To, m.Kind = from, to, kind
-	m.C, m.R = 0, 0
-	m.Flow1.X = m.Flow1.X[:0]
-	m.Flow1.W = 0
-	m.Flow2.X = m.Flow2.X[:0]
-	m.Flow2.W = 0
-	return m
-}
+// shardPhase1 activates every live node in shard s, in ascending id
+// order.
+func (e *Engine) shardPhase1(s int) { e.activate(e.shard.nodes[s], s) }
 
 // deliverRound is the parallel phase 2: one delivery task per
 // destination shard, dispatched onto the worker pool (or run inline in
@@ -698,7 +590,7 @@ func (e *Engine) routeDeliver(msg *gossip.Message, d int) {
 	// count, layout and delivery order.
 	if e.unreachable(msg) || (e.lossRates != nil && e.lossDrop(msg.From, msg.To)) {
 		e.rec.Bank(d).Inc(metrics.MsgsLost)
-		e.putMsgShard(d, msg)
+		e.putMsg(d, msg)
 		return
 	}
 	if e.interceptor == nil {
@@ -812,25 +704,25 @@ func (e *Engine) interceptRound() {
 	for i, lo := range e.shard.cut {
 		in := e.inbox[i]
 		hi := len(in)
-		d := int(e.shard.shardOf[i])
+		d := e.owner(i)
 		// Survivors are appended past hi, then slid down over the arrivals.
 		for k := lo; k < hi; k++ {
 			m := in[k]
 			copies := e.intercept(m)
 			if copies == 0 {
-				e.putMsgShard(d, m)
+				e.putMsg(d, m)
 			}
 			for c := 0; c < copies; c++ {
 				if c == 0 {
 					in = append(in, m)
 				} else {
-					in = append(in, e.cloneMsgShard(m, d))
+					in = append(in, e.cloneMsg(m, d))
 				}
 			}
 			if inj != nil {
 				for _, x := range inj.Extra(e.round) {
 					if !e.unreachable(&x) {
-						extra = append(extra, e.cloneMsgShard(&x, int(e.shard.shardOf[x.To])))
+						extra = append(extra, e.cloneMsg(&x, e.owner(x.To)))
 					}
 				}
 			}
@@ -844,43 +736,22 @@ func (e *Engine) interceptRound() {
 	e.shard.extra = extra[:0]
 }
 
-// cloneMsgShard deep-copies m into a message from shard s's pool.
-func (e *Engine) cloneMsgShard(m *gossip.Message, s int) *gossip.Message {
-	c := e.getMsgShard(s)
-	c.From, c.To, c.Kind = m.From, m.To, m.Kind
-	c.C, c.R = m.C, m.R
-	c.Flow1.CopyFrom(m.Flow1)
-	c.Flow2.CopyFrom(m.Flow2)
-	return c
-}
-
-// errorsSharded computes the per-node oracle errors with one worker per
-// shard, then merges the per-shard slices in ascending node id order —
-// the same skip-dead sequence (and bit-identical values) as the serial
-// scan, for every shard layout.
-func (e *Engine) errorsSharded() []float64 {
-	p := e.shards
-	e.runShards("errors", metrics.PhaseErrors, e.shard.errorsTask)
-	e.errBuf = e.errBuf[:0]
-	if e.shard.contig {
-		for s := 0; s < p; s++ {
-			e.errBuf = append(e.errBuf, e.shard.errs[s]...)
+// clearRoundState recycles anything a round left in the outbox buckets
+// and drops the per-shard keepalive counters and staged trace events —
+// per-trial state that Reset and Restore must not carry over.
+func (e *Engine) clearRoundState() {
+	for s := 0; s < e.shards; s++ {
+		for d := 0; d < e.shards; d++ {
+			for _, m := range e.shard.bucket[s][d] {
+				e.putMsg(s, m)
+			}
+			e.shard.bucket[s][d] = e.shard.bucket[s][d][:0]
 		}
-		return e.errBuf
-	}
-	cur := e.shard.cursor
-	for s := 0; s < p; s++ {
-		cur[s] = 0
-	}
-	for i := 0; i < len(e.protos); i++ {
-		if !e.alive[i] {
-			continue
+		e.shard.keep[s] = 0
+		if e.shard.events != nil {
+			e.shard.events[s] = e.shard.events[s][:0]
 		}
-		s := e.shard.shardOf[i]
-		e.errBuf = append(e.errBuf, e.shard.errs[s][cur[s]])
-		cur[s]++
 	}
-	return e.errBuf
 }
 
 // errorsShard refills shard s's Errors scratch.

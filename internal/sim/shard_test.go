@@ -299,4 +299,35 @@ func TestShardedRoundAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(50, func() { e.Errors() }); a != 0 {
 		t.Errorf("Errors: %v allocs/op, want 0", a)
 	}
+	// Messages recycled between rounds (Drain, FailLink's flush,
+	// CrashNode's purge) must return to the shard free lists the next
+	// round draws from, not be parked where no round reuses them.
+	for _, op := range []struct {
+		name string
+		f    func()
+	}{
+		{"Drain", e.Drain},
+		{"FailLink", func() { e.FailLink(0, 1) }},
+		{"CrashNode", func() { e.CrashNode(200) }},
+	} {
+		op.f()
+		if a := firstStepAllocs(e); a != 0 {
+			t.Errorf("Step after %s: %d allocs, want 0", op.name, a)
+		}
+	}
+}
+
+// firstStepAllocs counts the heap allocations of exactly one Step —
+// unlike testing.AllocsPerRun, without a warm-up call that would hide
+// what the first round after a teardown allocates. GOMAXPROCS is 1
+// while measuring, as in AllocsPerRun, so no other goroutine's
+// allocations are counted.
+func firstStepAllocs(e *sim.Engine) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	e.Step()
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs - before
 }

@@ -1,18 +1,30 @@
 // Package sim provides the deterministic, round-based gossip simulator
 // used for all paper experiments. In every round each live node is
-// activated once (in a seeded random permutation); an activated node
-// first processes the messages queued in its inbox and then pushes one
-// message to a uniformly random live neighbor, exactly the execution
-// model of the paper's Figs. 1 and 5 ("on receive … on send").
+// activated once; an activated node first processes the messages queued
+// in its inbox and then pushes one message to a uniformly random live
+// neighbor, exactly the execution model of the paper's Figs. 1 and 5
+// ("on receive … on send").
 //
-// Delivery is immediate: a sent message is appended to the target's
-// inbox and processed at the target's next activation. Activations are
-// therefore globally ordered, which makes each pairwise flow exchange
-// atomic — the standard sequential-event simulation of gossip protocols.
+// Two round models share one executor (shard.go) and one node body
+// (activate: drain → detector → one push → keepalives). They differ in
+// exactly three places:
+//
+//   - activation order: the sequential model (the default) activates in
+//     a fresh seeded random permutation each round; the phase-split
+//     model (WithShards/WithPartition) walks each shard in ascending id.
+//   - push-target stream: one shared *math/rand.Rand, or one splitmix64
+//     stream per node (draw).
+//   - destination of a sent message (emit): the sequential model
+//     delivers it immediately, so it is processed at the target's next
+//     activation — possibly later in the same round — which makes each
+//     pairwise flow exchange atomic, the standard sequential-event
+//     simulation of gossip protocols; the phase-split model routes it
+//     into a per-shard bucket delivered between rounds.
+//
 // (A lockstep double-buffered model would make the two endpoints of an
 // edge overwrite each other's flow variables from stale state on every
-// round, which biases the flow algorithms' ratio estimates; sequential
-// activation avoids this artifact.)
+// round, which biases the flow algorithms' ratio estimates; both models
+// avoid this artifact — see shard.go for why next-round delivery does.)
 //
 // Two design decisions matter for reproducing the paper:
 //
@@ -84,22 +96,10 @@ type Injector interface {
 	Extra(round int) []gossip.Message
 }
 
-// Order selects the per-round activation order of the nodes.
-type Order int
-
-const (
-	// RandomOrder activates nodes in a fresh seeded random permutation
-	// each round (the default; models unsynchronized gossip).
-	RandomOrder Order = iota
-	// FixedOrder activates nodes in id order every round (the "regular,
-	// synchronous communication schedule" of the paper's bus example).
-	FixedOrder
-)
-
 // Engine drives a set of protocol instances over a topology in rounds.
 //
 // The steady-state round loop (Step + Errors) is allocation-free:
-// messages live in an engine-owned free list and are recycled at
+// messages live in per-shard free lists and are recycled at
 // dispatch/drop time, protocols that implement gossip.MessageFiller and
 // gossip.Estimator fill pooled buffers instead of allocating, and all
 // per-round scratch (activation permutation, error/median buffers,
@@ -109,10 +109,9 @@ type Engine struct {
 	graph  *topology.Graph
 	protos []gossip.Protocol
 	init   []gossip.Value
-	width  int // shared value width of all initial values
-	rng    *rand.Rand
-	order  Order
-	seed   int64 // construction/Reset seed (join streams derive from it)
+	width  int        // shared value width of all initial values
+	rng    *rand.Rand // sequential model: activation order and push targets
+	seed   int64      // construction/Reset seed (join streams derive from it)
 
 	// Open-world membership state (membership.go); all nil/zero until
 	// the first membership operation.
@@ -149,31 +148,27 @@ type Engine struct {
 	rec       *metrics.Recorder // nil ⇒ every metrics touch is a no-op (observe.go)
 	timeline  *metrics.Timeline // nil ⇒ no span tracing (SetTimeline, observe.go)
 	flight    *flight           // nil ⇒ phase timing off entirely (updateFlight, flight.go)
-	inPhase1  bool              // inside sharded phase 1: events must be staged per shard
+	inPhase1  bool              // inside phase-split phase 1: events must be staged per shard
 	probeVal  gossip.Value      // massResidual scratch
 	probeSums []stats.Sum2      // massResidual scratch
 
-	shards        int                 // 0 = legacy sequential model; ≥ 1 = phase-split model
-	shard         *shardState         // executor state of the phase-split model (shard.go)
+	seq           bool                // sequential model: neither WithShards nor WithPartition given
+	shards        int                 // executor shard count (1 under the sequential model)
+	shard         *shardState         // executor state of both round models (shard.go)
 	partition     *topology.Partition // explicit shard layout (WithPartition); nil = contiguous
 	serialDeliver bool                // run phase-2 delivery tasks inline (WithSerialDelivery)
 	phaseLabels   bool                // pprof-label pooled tasks (WithPhaseLabels)
 
 	nodeCkpt []*gossip.State // per-node crash-restart checkpoints (snapshot.go); nil until CheckpointNode
 
-	msgPool []*gossip.Message // free list of width-sized messages
-	perm    []int             // activation-order scratch
-	errBuf  []float64         // Errors scratch
-	estBuf  []float64         // per-node estimate scratch (Errors)
-	medBuf  []float64         // sorted-error scratch (recordPoint)
-	sumBuf  []stats.Sum2      // recomputeTargets scratch
+	perm   []int32      // sequential activation order
+	errBuf []float64    // Errors scratch
+	medBuf []float64    // sorted-error scratch (recordPoint)
+	sumBuf []stats.Sum2 // recomputeTargets scratch
 }
 
 // EngineOption configures an Engine at construction time.
 type EngineOption func(*Engine)
-
-// WithOrder sets the activation order policy.
-func WithOrder(o Order) EngineOption { return func(e *Engine) { e.order = o } }
 
 // DetectorConfig mirrors runtime.DetectorConfig for the round simulator:
 // all durations are measured in rounds. A node pushes one data message
@@ -254,14 +249,16 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 		hung:     make([]bool, n),
 		dead:     make(map[[2]int]bool),
 		silenced: make(map[[2]int]bool),
-		perm:     make([]int, n),
+		perm:     make([]int32, n),
 		errBuf:   make([]float64, 0, n),
 		medBuf:   make([]float64, 0, n),
-		estBuf:   make([]float64, width),
 		sumBuf:   make([]stats.Sum2, width),
 	}
 	for _, opt := range opts {
 		opt(e)
+	}
+	if e.shards == 0 {
+		e.seq, e.shards = true, 1
 	}
 	for i := range protos {
 		e.init[i] = init[i].Clone()
@@ -269,7 +266,7 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 		protos[i].Reset(i, g.Neighbors(i), init[i].Clone())
 	}
 	for i := range e.perm {
-		e.perm[i] = i
+		e.perm[i] = int32(i)
 	}
 	if e.detCfg != nil {
 		if err := e.detCfg.Detect.Validate(); err != nil {
@@ -285,9 +282,7 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 			e.lastSent[i] = make([]int, n)
 		}
 	}
-	if e.shards > 0 {
-		e.initShards(seed)
-	}
+	e.initShards(seed)
 	e.seedLossRNG(seed)
 	e.recomputeTargets()
 	return e
@@ -337,11 +332,11 @@ func (e *Engine) Reset(seed int64) {
 	}
 	clear(e.dead)
 	clear(e.silenced)
-	// New leaves perm as the identity permutation; shufflePerm mutates it
-	// in place every round, so restoring the identity is what makes the
+	// New leaves perm as the identity permutation; Step shuffles it in
+	// place every round, so restoring the identity is what makes the
 	// reused RNG stream reproduce a fresh engine's schedule.
 	for i := range e.perm {
-		e.perm[i] = i
+		e.perm[i] = int32(i)
 	}
 	for i, p := range e.protos {
 		p.Reset(i, e.graph.Neighbors(i), e.init[i].Clone())
@@ -355,24 +350,8 @@ func (e *Engine) Reset(seed int64) {
 			}
 		}
 	}
-	if e.shards > 0 {
-		e.seedNodeRNG(seed)
-		for s := 0; s < e.shards; s++ {
-			for d := 0; d < e.shards; d++ {
-				for _, m := range e.shard.bucket[s][d] {
-					e.putMsgShard(s, m)
-				}
-				e.shard.bucket[s][d] = e.shard.bucket[s][d][:0]
-			}
-			e.shard.keep[s] = 0
-			if e.shard.events != nil {
-				// Staged-but-unflushed trace events are per-trial state:
-				// drop them so nothing recorded before Reset can leak
-				// into the next trial's event stream.
-				e.shard.events[s] = e.shard.events[s][:0]
-			}
-		}
-	}
+	e.seedNodeRNG(seed)
+	e.clearRoundState()
 	if e.nodeCkpt != nil {
 		// Per-node crash-restart checkpoints belong to the finished
 		// trial; a RestartNode in the next trial must not revive state
@@ -413,21 +392,15 @@ func (e *Engine) ResetWithInputs(seed int64, init []gossip.Value) {
 		// Narrower pooled messages are dropped by the putMsg guards as the
 		// inboxes drain during Reset below.
 		e.width = width
-		e.msgPool = nil
-		e.estBuf = make([]float64, width)
 		e.sumBuf = make([]stats.Sum2, width)
 		e.targets = make([]float64, width)
 		if e.probeSums != nil {
 			e.probeSums = make([]stats.Sum2, width)
 			e.probeVal = gossip.NewValue(width)
 		}
-		if e.shard != nil {
-			for s := range e.shard.pool {
-				e.shard.pool[s] = nil
-			}
-			for s := range e.shard.est {
-				e.shard.est[s] = make([]float64, width)
-			}
+		for s := range e.shard.pool {
+			e.shard.pool[s] = nil
+			e.shard.est[s] = make([]float64, width)
 		}
 	}
 	for i, v := range init {
@@ -487,52 +460,49 @@ func (e *Engine) recomputeTargets() {
 	}
 }
 
-// getMsg takes a message off the free list (or allocates a fresh one
-// with width-sized flow backing). Callers must fully overwrite its
-// header fields; the flow slices arrive reset to the engine width.
-func (e *Engine) getMsg() *gossip.Message {
-	if n := len(e.msgPool); n > 0 {
-		m := e.msgPool[n-1]
-		e.msgPool = e.msgPool[:n-1]
-		e.rec.Bank(0).Inc(metrics.FreeListHits)
+// getMsg takes a message off shard s's free list (or allocates a fresh
+// one with width-sized flow backing). Within a round only shard s's
+// worker touches pool s; between rounds the engine is single-threaded.
+// Callers must fully overwrite its header fields; the flow slices
+// arrive reset to the engine width.
+func (e *Engine) getMsg(s int) *gossip.Message {
+	pool := e.shard.pool[s]
+	if n := len(pool); n > 0 {
+		m := pool[n-1]
+		e.shard.pool[s] = pool[:n-1]
+		e.rec.Bank(s).Inc(metrics.FreeListHits)
 		return m
 	}
-	e.rec.Bank(0).Inc(metrics.FreeListMisses)
+	e.rec.Bank(s).Inc(metrics.FreeListMisses)
 	return &gossip.Message{Flow1: gossip.NewValue(e.width), Flow2: gossip.NewValue(e.width)}
 }
 
-// putMsg returns a message to the free list, restoring its flow slices
-// to the engine width from their capacity. Messages whose backing
-// arrays cannot hold a full-width value (e.g. injector-fabricated ones)
-// are left to the garbage collector instead of poisoning the pool.
-func (e *Engine) putMsg(m *gossip.Message) {
+// putMsg returns a message to shard s's free list, restoring its flow
+// slices to the engine width from their capacity. Messages whose
+// backing arrays cannot hold a full-width value (e.g. injector-
+// fabricated ones) are left to the garbage collector instead of
+// poisoning the pool.
+func (e *Engine) putMsg(s int, m *gossip.Message) {
 	if cap(m.Flow1.X) < e.width || cap(m.Flow2.X) < e.width {
 		return
 	}
 	m.Flow1.X = m.Flow1.X[:e.width]
 	m.Flow2.X = m.Flow2.X[:e.width]
-	e.msgPool = append(e.msgPool, m)
+	e.shard.pool[s] = append(e.shard.pool[s], m)
 }
 
-// makeMessage produces node i's push to target as a pooled message,
-// through the protocol's FillMessage when available (allocation-free)
-// and MakeMessage otherwise.
-func (e *Engine) makeMessage(p gossip.Protocol, target int) *gossip.Message {
-	m := e.getMsg()
-	if f, ok := p.(gossip.MessageFiller); ok {
-		f.FillMessage(target, m)
-		return m
-	}
-	*m = p.MakeMessage(target)
-	return m
-}
+// owner returns the shard that owns node i: between rounds, messages
+// recycled out of i's inbox go back to this shard's free list, the one
+// i's next activation draws from.
+func (e *Engine) owner(i int) int { return int(e.shard.shardOf[i]) }
 
 // makeControl produces a pooled payload-free control message (keepalive
-// or link-down notice): zero-width flows, exactly the wire shape a
-// literal gossip.Message{Kind: ...} has, so interceptors that enumerate
-// payload slots observe the same message shape either way.
-func (e *Engine) makeControl(from, to int, kind gossip.Kind) *gossip.Message {
-	m := e.getMsg()
+// or link-down notice) from shard s's free list: zero-width flows,
+// exactly the wire shape a literal gossip.Message{Kind: ...} has, so
+// interceptors that enumerate payload slots observe the same message
+// shape either way.
+func (e *Engine) makeControl(from, to int, kind gossip.Kind, s int) *gossip.Message {
+	m := e.getMsg(s)
 	m.From, m.To, m.Kind = from, to, kind
 	m.C, m.R = 0, 0
 	m.Flow1.X = m.Flow1.X[:0]
@@ -542,25 +512,38 @@ func (e *Engine) makeControl(from, to int, kind gossip.Kind) *gossip.Message {
 	return m
 }
 
-// Step executes one round. In the legacy model (no WithShards): every
-// live node, in activation order, first processes its inbox and then
-// pushes one message to a uniformly random live neighbor, delivered
-// immediately. With WithShards the phase-split model of shard.go runs
-// instead (frozen inboxes, next-round delivery, per-node RNG streams).
+// Step executes one round. The sequential model activates every live
+// node in a fresh seeded random permutation, delivering each message
+// immediately; the phase-split model (WithShards/WithPartition) runs
+// stepSharded instead (frozen inboxes, next-round delivery, per-node
+// RNG streams).
 func (e *Engine) Step() {
-	if e.shards > 0 {
+	if !e.seq {
 		e.stepSharded()
 		return
 	}
-	if e.order == RandomOrder {
-		e.shufflePerm()
-	}
-	for _, i := range e.perm {
+	e.rng.Shuffle(len(e.perm), func(a, b int) { e.perm[a], e.perm[b] = e.perm[b], e.perm[a] })
+	e.activate(e.perm, 0)
+	e.foldKeepalives()
+	e.round++
+}
+
+// activate gives every live node in ids, in that order, its turn of
+// the round — the node body both models share: drain the inbox, run
+// the failure detector, push one message to a random live neighbor,
+// then send due keepalives and probes. s is the shard that owns the
+// nodes; a turn touches only node-local state plus shard s's pool,
+// buckets, counter bank and keepalive counter — the invariant that lets
+// phase 1 run shards in parallel. The loop lives here rather than in
+// the callers so the per-node path has no extra call.
+func (e *Engine) activate(ids []int32, s int) {
+	for _, i32 := range ids {
+		i := int(i32)
 		if !e.alive[i] || e.hung[i] {
 			continue
 		}
 		p := e.protos[i]
-		e.drainInbox(i)
+		e.drainInbox(i, s)
 		if e.det != nil {
 			for _, j := range e.det[i].Check(float64(e.round)) {
 				p.OnLinkFailure(j)
@@ -568,24 +551,56 @@ func (e *Engine) Step() {
 					e.det[i].Remove(j)
 				}
 				if e.rec != nil {
-					b := e.rec.Bank(0)
+					b := e.rec.Bank(s)
 					b.Inc(metrics.Suspicions)
 					b.Inc(metrics.Evictions)
-					e.rec.RecordEvent(metrics.Event{Kind: metrics.EvLinkEvicted, Round: e.round, A: i, B: j})
+					e.noteEvent(metrics.Event{Kind: metrics.EvLinkEvicted, Round: e.round, A: i, B: j})
 				}
 			}
 		}
 		if live := p.LiveNeighbors(); len(live) > 0 {
-			target := int(live[e.rng.Intn(len(live))])
+			// The push-target stream: the shared RNG in the sequential
+			// model, node i's own stream otherwise.
+			var k int
+			if e.seq {
+				k = e.rng.Intn(len(live))
+			} else {
+				k = e.draw(i, len(live))
+			}
+			target := int(live[k])
 			e.noteSent(i, target)
-			e.rec.Bank(0).Inc(metrics.MsgsSent)
-			e.send(e.makeMessage(p, target))
+			e.rec.Bank(s).Inc(metrics.MsgsSent)
+			m := e.getMsg(s)
+			if f, ok := p.(gossip.MessageFiller); ok {
+				f.FillMessage(target, m)
+			} else {
+				*m = p.MakeMessage(target)
+			}
+			// emit, written out: the per-message path of phase 1 stays
+			// free of an extra call.
+			if e.seq {
+				e.send(s, m)
+			} else {
+				d := e.shard.shardOf[target]
+				e.shard.bucket[s][d] = append(e.shard.bucket[s][d], m)
+			}
 		}
 		if e.det != nil {
-			e.sendKeepalives(i)
+			e.sendKeepalives(i, s)
 		}
 	}
-	e.round++
+}
+
+// emit hands one of shard s's outgoing messages to its destination:
+// immediate delivery in the sequential model, the (s → destination
+// shard) bucket in the phase-split model.
+func (e *Engine) emit(s int, m *gossip.Message) {
+	if e.seq {
+		e.send(s, m)
+		return
+	}
+	d := e.shard.shardOf[m.To]
+	e.shard.bucket[s][d] = append(e.shard.bucket[s][d], m)
 }
 
 // noteSent records the round of node i's last send to j for keepalive
@@ -600,39 +615,38 @@ func (e *Engine) noteSent(i, j int) {
 // KeepaliveInterval rounds and probes suspected neighbors every
 // ProbeInterval rounds so that healed links reintegrate (after mutual
 // eviction neither side gossips to the other; only probes can cross a
-// recovered link).
-func (e *Engine) sendKeepalives(i int) {
+// recovered link). They are counted per shard and folded into the
+// engine total at the end of the round.
+func (e *Engine) sendKeepalives(i, s int) {
 	for _, j32 := range e.protos[i].LiveNeighbors() {
-		j := int(j32)
-		if e.round-e.lastSent[i][j] >= e.detCfg.KeepaliveInterval {
-			e.noteSent(i, j)
-			e.keepalives++
-			e.rec.Bank(0).Inc(metrics.Keepalives)
-			e.send(e.makeControl(i, j, gossip.KindKeepalive))
+		if j := int(j32); e.round-e.lastSent[i][j] >= e.detCfg.KeepaliveInterval {
+			e.keepalive(i, j, s)
 		}
 	}
 	for _, j := range e.det[i].Suspects() {
 		if e.round-e.lastSent[i][j] >= e.detCfg.ProbeInterval {
-			e.noteSent(i, j)
-			e.keepalives++
-			e.rec.Bank(0).Inc(metrics.Keepalives)
-			e.send(e.makeControl(i, j, gossip.KindKeepalive))
+			e.keepalive(i, j, s)
 		}
 	}
 }
 
-func (e *Engine) shufflePerm() {
-	e.rng.Shuffle(len(e.perm), func(a, b int) { e.perm[a], e.perm[b] = e.perm[b], e.perm[a] })
+// keepalive sends one keepalive or probe from i to j on shard s.
+func (e *Engine) keepalive(i, j, s int) {
+	e.noteSent(i, j)
+	e.shard.keep[s]++
+	e.rec.Bank(s).Inc(metrics.Keepalives)
+	e.emit(s, e.makeControl(i, j, gossip.KindKeepalive, s))
 }
 
-func (e *Engine) drainInbox(i int) {
-	// Process in index order (per-link FIFO); dispatched messages go
-	// straight back to the free list — receivers never retain message
-	// backing (protocols copy payloads into their own state).
+// drainInbox processes node i's inbox in index order (per-link FIFO),
+// recycling each message into shard s's free list right after dispatch
+// — receivers never retain message backing (protocols copy payloads
+// into their own state).
+func (e *Engine) drainInbox(i, s int) {
 	for k := 0; k < len(e.inbox[i]); k++ {
 		m := e.inbox[i][k]
 		e.dispatch(i, m)
-		e.putMsg(m)
+		e.putMsg(s, m)
 	}
 	e.inbox[i] = e.inbox[i][:0]
 }
@@ -670,42 +684,45 @@ func (e *Engine) heard(i, from int) {
 		if r, ok := e.protos[i].(gossip.Reintegrator); ok {
 			r.OnLinkRecover(from)
 			if e.rec != nil {
-				e.metricsBank(i).Inc(metrics.Reintegrations)
+				// i's shard bank: the only one i's activation may write.
+				e.rec.Bank(e.owner(i)).Inc(metrics.Reintegrations)
 				e.noteEvent(metrics.Event{Kind: metrics.EvLinkReintegrated, Round: e.round, A: i, B: from})
 			}
 		}
 	}
 }
 
-// send routes msg through the link-failure table and the interceptor into
-// the destination inbox. The engine owns msg (pooled): dropped messages
-// are recycled immediately, delivered ones after dispatch.
-func (e *Engine) send(msg *gossip.Message) {
+// send is the sequential model's immediate delivery: it routes msg
+// through the link-failure table and the interceptor into the
+// destination inbox. The engine owns msg (pooled): dropped messages are
+// recycled into shard s's free list immediately, delivered ones after
+// dispatch.
+func (e *Engine) send(s int, msg *gossip.Message) {
 	if e.unreachable(msg) || (e.lossRates != nil && e.lossDrop(msg.From, msg.To)) {
-		e.rec.Bank(0).Inc(metrics.MsgsLost)
-		e.putMsg(msg)
+		e.rec.Bank(s).Inc(metrics.MsgsLost)
+		e.putMsg(s, msg)
 		return // broken, silenced or dead destination, or per-link loss
 	}
 	if e.interceptor == nil {
-		e.rec.Bank(0).Inc(metrics.MsgsDelivered)
+		e.rec.Bank(s).Inc(metrics.MsgsDelivered)
 		e.inbox[msg.To] = append(e.inbox[msg.To], msg)
 		return
 	}
 	copies := e.intercept(msg)
 	if copies == 0 {
-		e.putMsg(msg)
+		e.putMsg(s, msg)
 	}
 	for k := 0; k < copies; k++ {
 		if k == 0 {
 			e.inbox[msg.To] = append(e.inbox[msg.To], msg)
 		} else {
-			e.inbox[msg.To] = append(e.inbox[msg.To], e.cloneMsg(msg))
+			e.inbox[msg.To] = append(e.inbox[msg.To], e.cloneMsg(msg, s))
 		}
 	}
 	if inj, ok := e.interceptor.(Injector); ok {
 		for _, x := range inj.Extra(e.round) {
 			if !e.unreachable(&x) {
-				e.inbox[x.To] = append(e.inbox[x.To], e.cloneMsg(&x))
+				e.inbox[x.To] = append(e.inbox[x.To], e.cloneMsg(&x, s))
 			}
 		}
 	}
@@ -738,9 +755,9 @@ func (e *Engine) intercept(msg *gossip.Message) int {
 	return copies
 }
 
-// cloneMsg deep-copies m into a pooled message.
-func (e *Engine) cloneMsg(m *gossip.Message) *gossip.Message {
-	c := e.getMsg()
+// cloneMsg deep-copies m into a message from shard s's free list.
+func (e *Engine) cloneMsg(m *gossip.Message, s int) *gossip.Message {
+	c := e.getMsg(s)
 	c.From, c.To, c.Kind = m.From, m.To, m.Kind
 	c.C, c.R = m.C, m.R
 	c.Flow1.CopyFrom(m.Flow1)
@@ -758,14 +775,15 @@ func (e *Engine) Drain() {
 			e.clearInbox(i)
 			continue
 		}
-		e.drainInbox(i)
+		e.drainInbox(i, e.owner(i))
 	}
 }
 
-// clearInbox discards node i's queued messages back into the free list.
+// clearInbox discards node i's queued messages back into its shard's
+// free list.
 func (e *Engine) clearInbox(i int) {
 	for _, m := range e.inbox[i] {
-		e.putMsg(m)
+		e.putMsg(e.owner(i), m)
 	}
 	e.inbox[i] = e.inbox[i][:0]
 }
@@ -844,7 +862,7 @@ func (e *Engine) flushLink(i, j int) {
 		for _, m := range e.inbox[v] {
 			if (m.From == i && m.To == j) || (m.From == j && m.To == i) {
 				e.dispatch(v, m)
-				e.putMsg(m)
+				e.putMsg(e.owner(v), m)
 				continue
 			}
 			out = append(out, m)
@@ -890,7 +908,7 @@ func (e *Engine) purgeLink(i, j int) {
 		out := e.inbox[v][:0]
 		for _, m := range e.inbox[v] {
 			if (m.From == i && m.To == j) || (m.From == j && m.To == i) {
-				e.putMsg(m)
+				e.putMsg(e.owner(v), m)
 				continue
 			}
 			out = append(out, m)
@@ -1027,31 +1045,38 @@ func (e *Engine) Estimates() [][]float64 {
 
 // Errors returns, for each alive node, the worst relative error over all
 // data components against the oracle aggregate. The returned slice is
-// reused across calls.
+// reused across calls. Each shard scans its own nodes (in parallel when
+// there are several); the per-shard slices are merged in ascending node
+// id order, so the result is the same skip-dead sequence for every
+// shard layout.
 func (e *Engine) Errors() []float64 {
-	if e.shards > 0 {
-		return e.errorsSharded()
-	}
+	p := e.shards
+	e.runShards("errors", metrics.PhaseErrors, e.shard.errorsTask)
 	e.errBuf = e.errBuf[:0]
-	for i, p := range e.protos {
+	if e.shard.contig {
+		for s := 0; s < p; s++ {
+			e.errBuf = append(e.errBuf, e.shard.errs[s]...)
+		}
+		return e.errBuf
+	}
+	cur := e.shard.cursor
+	for s := 0; s < p; s++ {
+		cur[s] = 0
+	}
+	for i := 0; i < len(e.protos); i++ {
 		if !e.alive[i] {
 			continue
 		}
-		var est []float64
-		if ip, ok := p.(gossip.Estimator); ok {
-			e.estBuf = ip.EstimateInto(e.estBuf)
-			est = e.estBuf
-		} else {
-			est = p.Estimate()
-		}
-		e.errBuf = append(e.errBuf, e.worstErr(est))
+		s := e.shard.shardOf[i]
+		e.errBuf = append(e.errBuf, e.shard.errs[s][cur[s]])
+		cur[s]++
 	}
 	return e.errBuf
 }
 
 // worstErr returns the worst relative error of one node's estimate
 // vector against the oracle targets (NaN as soon as any component is
-// NaN), the per-node metric shared by the serial and sharded scans.
+// NaN).
 func (e *Engine) worstErr(est []float64) float64 {
 	worst := 0.0
 	for k, t := range e.targets {

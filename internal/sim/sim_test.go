@@ -303,19 +303,6 @@ func TestConvergenceAfterEarlyCrash(t *testing.T) {
 	}
 }
 
-func TestFixedOrderDeterministic(t *testing.T) {
-	g := topology.Ring(6)
-	e1 := NewScalar(g, pfProtos(6), someInputs(6), gossip.Average, 1, WithOrder(FixedOrder))
-	e2 := NewScalar(g, pfProtos(6), someInputs(6), gossip.Average, 1, WithOrder(FixedOrder))
-	e1.Run(RunConfig{MaxRounds: 20})
-	e2.Run(RunConfig{MaxRounds: 20})
-	for i := 0; i < 6; i++ {
-		if e1.Protocol(i).Estimate()[0] != e2.Protocol(i).Estimate()[0] {
-			t.Fatal("fixed order not deterministic")
-		}
-	}
-}
-
 func TestRunStallStops(t *testing.T) {
 	g := topology.Hypercube(3)
 	e := NewScalar(g, pfProtos(8), someInputs(8), gossip.Average, 1)

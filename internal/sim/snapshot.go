@@ -16,8 +16,8 @@ package sim
 // the uninterrupted run at every shard count — snapshots record no
 // shard layout (node streams are derived from ids, the merge order from
 // ascending node ids), so a snapshot taken at shards=2 restores into a
-// shards=8 engine and continues the same schedule. Only the sharded
-// executor supports this: the legacy sequential model draws from one
+// shards=8 engine and continues the same schedule. Only the phase-split
+// model supports this: the sequential model draws from one
 // *math/rand.Rand whose internal state cannot be serialized.
 //
 // This file also hosts the per-node recovery mode: CheckpointNode
@@ -62,7 +62,7 @@ type Snapshot struct {
 }
 
 // ErrNotSharded is returned by Snapshot/Restore on an engine running
-// the legacy sequential model, whose *math/rand.Rand schedule state
+// the sequential model, whose *math/rand.Rand schedule state
 // cannot be serialized. Construct the engine with WithShards (1 is
 // enough) to checkpoint it.
 var ErrNotSharded = errors.New("sim: snapshot requires the sharded executor (construct the engine with WithShards)")
@@ -72,7 +72,7 @@ var ErrNotSharded = errors.New("sim: snapshot requires the sharded executor (con
 // repository do). The engine must be at a round boundary, which it
 // always is between Step calls.
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	if e.shards <= 0 {
+	if e.seq {
 		return nil, ErrNotSharded
 	}
 	n := len(e.protos)
@@ -301,7 +301,7 @@ func (e *Engine) appendNodeScaffold(id int) {
 	e.alive = append(e.alive, true)
 	e.hung = append(e.hung, false)
 	e.inbox = append(e.inbox, make([]*gossip.Message, 0, 8))
-	e.perm = append(e.perm, id)
+	e.perm = append(e.perm, int32(id))
 	if e.nodeCkpt != nil {
 		e.nodeCkpt = append(e.nodeCkpt, nil)
 	}
@@ -314,11 +314,9 @@ func (e *Engine) appendNodeScaffold(id int) {
 		}
 		e.lastSent = append(e.lastSent, make([]int, id+1))
 	}
-	if e.shard != nil {
-		e.shard.nodeRNG = append(e.shard.nodeRNG, 0) // overwritten by the main stream
-		e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
-		e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
-	}
+	e.shard.nodeRNG = append(e.shard.nodeRNG, 0) // overwritten by the main stream
+	e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
+	e.shard.nodes[e.shards-1] = append(e.shard.nodes[e.shards-1], int32(id))
 }
 
 // Restore rewinds the engine to the snapshot's state. The engine must
@@ -332,7 +330,7 @@ func (e *Engine) appendNodeScaffold(id int) {
 // On error the engine state is unspecified; Reset it before further
 // use.
 func (e *Engine) Restore(s *Snapshot) error {
-	if e.shards <= 0 {
+	if e.seq {
 		return ErrNotSharded
 	}
 	// Rewind any membership state of the current trial, then rebuild the
@@ -404,7 +402,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 			break
 		}
 		for c := 0; c < count; c++ {
-			m := e.getMsgShard(int(e.shard.shardOf[i]))
+			m := e.getMsg(e.owner(i))
 			if !readMessage(r, m, e.width) {
 				break
 			}
@@ -424,18 +422,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if e.nodeCkpt != nil {
 		clear(e.nodeCkpt)
 	}
-	for s := 0; s < e.shards; s++ {
-		for d := 0; d < e.shards; d++ {
-			for _, m := range e.shard.bucket[s][d] {
-				e.putMsgShard(s, m)
-			}
-			e.shard.bucket[s][d] = e.shard.bucket[s][d][:0]
-		}
-		e.shard.keep[s] = 0
-		if e.shard.events != nil {
-			e.shard.events[s] = e.shard.events[s][:0]
-		}
-	}
+	e.clearRoundState()
 	e.recomputeTargets()
 	return nil
 }
