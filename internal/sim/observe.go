@@ -32,9 +32,6 @@ func (e *Engine) SetMetrics(rec *metrics.Recorder) {
 		return
 	}
 	rec.EnsureBanks(e.shards)
-	if e.shard.events == nil {
-		e.shard.events = make([][]metrics.Event, e.shards)
-	}
 	if e.probeSums == nil {
 		e.probeSums = make([]stats.Sum2, e.width)
 		e.probeVal = gossip.NewValue(e.width)
@@ -93,8 +90,8 @@ func (e *Engine) noteEvent(ev metrics.Event) {
 		return
 	}
 	if e.inPhase1 && ev.A >= 0 {
-		s := e.shard.shardOf[ev.A]
-		e.shard.events[s] = append(e.shard.events[s], ev)
+		l := &e.shard.local[e.shard.shardOf[ev.A]]
+		l.events = append(l.events, ev)
 		return
 	}
 	e.rec.RecordEvent(ev)

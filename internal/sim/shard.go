@@ -85,6 +85,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 
 	"pcfreduce/internal/gossip"
 	"pcfreduce/internal/metrics"
@@ -150,10 +151,9 @@ func (e *Engine) Shards() int {
 
 // shardState holds the executor state of both round models; the
 // sequential model uses one shard and leaves the buckets, merge cursors
-// and interception scratch empty. All slices indexed by source shard
-// are touched only by the owning worker during phase 1; bucket COLUMNS
-// (fixed destination index) and the per-destination structures are
-// touched only by the owning delivery task during phase 2.
+// and interception scratch empty. Everything a phase task writes lives
+// in its shard's padded local block; the shared slices here are
+// read-only inside a phase.
 type shardState struct {
 	nodes    [][]int32 // per-shard ascending node-id lists
 	shardOf  []int32   // node id → shard index
@@ -161,27 +161,11 @@ type shardState struct {
 	contig   bool      // concatenated shard lists == 0..n−1 (merge fast path)
 	baseLast int       // len(nodes[last]) before any joins (dropMembership rewind)
 
-	// bucket[s][d] holds shard s's sends to destinations owned by shard
-	// d, in emission (ascending source id) order — the routed form that
-	// lets delivery run one task per destination shard.
-	bucket [][][]*gossip.Message
-	pool   [][]*gossip.Message // per-shard message free lists
-	keep   []int               // per-shard keepalive counters, folded at the barrier
-	cursor []int               // per-shard merge cursors (non-contiguous layouts)
-	dcur   [][]int             // per-destination k-way merge cursors (parallel delivery)
+	local  []shardLocal // per-shard phase-written state, one padded block each
+	cursor []int        // per-shard merge cursors (serial merges, non-contiguous layouts)
 
 	cut   []int             // interceptRound: per-node inbox length before delivery
 	extra []*gossip.Message // interceptRound: Injector messages, appended after the pass
-
-	errs [][]float64 // per-shard Errors scratch
-	est  [][]float64 // per-shard estimate scratch
-
-	// events stages per-shard trace events emitted during phase 1
-	// (detector evictions, reintegrations); they are flushed into the
-	// recorder's ring at merge time in ascending node order, so the
-	// recorded sequence is identical for every shard count and layout.
-	// nil until SetMetrics.
-	events [][]metrics.Event
 
 	surplus []*gossip.Message // rebalancePools scratch
 
@@ -196,6 +180,53 @@ type shardState struct {
 
 	workers *workerPool // persistent phase-1 workers; nil until first parallel round
 }
+
+// cacheLine is the coherence granule the shard blocks are padded to.
+const cacheLine = 64
+
+// shardWrites is what shard s's phase tasks write: its phase-1 worker
+// (free list, outbox row, keepalive count, staged events), its phase-2
+// delivery task (free list, merge cursors) and its errors task (errs,
+// est). Shards write these concurrently, so two shards' copies must
+// never share a cache line — see shardLocal.
+type shardWrites struct {
+	pool []*gossip.Message // message free list
+
+	// bucket[d] holds this shard's sends to destinations owned by shard
+	// d, in emission (ascending source id) order — the routed form that
+	// lets delivery run one task per destination shard. Truncated
+	// serially after delivery, so delivery tasks only read it.
+	bucket [][]*gossip.Message
+
+	keep int   // keepalive counter, folded at the barrier
+	dcur []int // this shard's k-way merge cursors as a delivery destination
+
+	errs []float64 // Errors scratch
+	est  []float64 // estimate scratch
+
+	// events stages trace events emitted during phase 1 (detector
+	// evictions, reintegrations); they are flushed into the recorder's
+	// ring at merge time in ascending node order, so the recorded
+	// sequence is identical for every shard count and layout.
+	events []metrics.Event
+}
+
+// shardLocal pads a shard's write set to whole cache lines, like
+// metrics.Bank, so adjacent shards' blocks never share a line: without
+// it the shards' phase tasks serialize through the coherence protocol.
+// The pad is never zero (every field is word-sized, so it is 8–64
+// bytes), which also absorbs the allocator's 8-byte header on large
+// pointerful slices.
+type shardLocal struct {
+	shardWrites
+	_ [cacheLine - unsafe.Sizeof(shardWrites{})%cacheLine]byte
+}
+
+// lineCap rounds a scratch capacity up to a multiple of 8 elements: for
+// 8-byte elements and 24-byte slice headers alike that fills whole cache
+// lines, so the backing array (allocated in its own size class) shares
+// no line with another shard's.
+func lineCap(n int) int { return (n + 7) &^ 7 }
 
 // workerPool is the persistent goroutine pool behind parallel phase-1
 // execution: size-fixed, fed through a buffered task channel, joined at
@@ -357,17 +388,14 @@ func (e *Engine) initShards(seed int64) {
 		nodes:   make([][]int32, p),
 		shardOf: make([]int32, n),
 		nodeRNG: make([]uint64, n),
-		bucket:  make([][][]*gossip.Message, p),
-		pool:    make([][]*gossip.Message, p),
-		keep:    make([]int, p),
+		local:   make([]shardLocal, p),
 		cursor:  make([]int, p),
-		dcur:    make([][]int, p),
-		errs:    make([][]float64, p),
-		est:     make([][]float64, p),
 	}
-	for s := 0; s < p; s++ {
-		ss.bucket[s] = make([][]*gossip.Message, p)
-		ss.dcur[s] = make([]int, p)
+	for s := range ss.local {
+		l := &ss.local[s]
+		l.bucket = make([][]*gossip.Message, p, lineCap(p))
+		l.dcur = make([]int, p, lineCap(p))
+		l.est = make([]float64, e.width, lineCap(e.width))
 	}
 	if e.partition != nil {
 		for s, list := range e.partition.Shards {
@@ -395,7 +423,6 @@ func (e *Engine) initShards(seed int64) {
 			}
 			prev = i
 		}
-		ss.est[s] = make([]float64, e.width)
 	}
 	ss.baseLast = len(ss.nodes[p-1])
 	// Pre-size the inboxes for the expected per-round load (one data
@@ -506,9 +533,9 @@ func (e *Engine) stepSharded() {
 // foldKeepalives folds the per-shard keepalive counters into the engine
 // total at the end of a round.
 func (e *Engine) foldKeepalives() {
-	for s := 0; s < e.shards; s++ {
-		e.keepalives += e.shard.keep[s]
-		e.shard.keep[s] = 0
+	for s := range e.shard.local {
+		e.keepalives += e.shard.local[s].keep
+		e.shard.local[s].keep = 0
 	}
 }
 
@@ -519,40 +546,45 @@ func (e *Engine) shardPhase1(s int) { e.activate(e.shard.nodes[s], s) }
 // deliverRound is the parallel phase 2: one delivery task per
 // destination shard, dispatched onto the worker pool (or run inline in
 // ascending shard order under WithSerialDelivery — bit-identical, since
-// the tasks touch pairwise-disjoint state).
+// the tasks touch pairwise-disjoint state). The outbox rows belong to
+// their source shards' blocks, so they are truncated here, after the
+// barrier, rather than by the delivery tasks that read them.
 func (e *Engine) deliverRound() {
 	e.runShards("deliver", metrics.PhaseDeliver, e.shard.deliverTask)
+	for s := range e.shard.local {
+		row := e.shard.local[s].bucket
+		for d := range row {
+			row[d] = row[d][:0]
+		}
+	}
 }
 
 // deliverShard routes every message destined for shard d's nodes into
 // their inboxes, in ascending global source id order. On contiguous
-// layouts that order is "bucket[0][d], then bucket[1][d], …"; on an
+// layouts that order is "shard 0's bucket[d], then shard 1's, …"; on an
 // arbitrary partition the task k-way-merges its P source buckets by
 // smallest head source id (no ties — each source lives in exactly one
-// shard), draining each node's run of sends in emission order. Touches
-// only destination-shard-owned state: inboxes of d's nodes, pool d,
-// counter bank d, and the streams of directed links into d.
+// shard), draining each node's run of sends in emission order. Writes
+// only destination-shard-owned state: inboxes of d's nodes, block d
+// (pool, cursors), counter bank d, and the streams of directed links
+// into d.
 func (e *Engine) deliverShard(d int) {
-	p := e.shards
+	local := e.shard.local
 	if e.shard.contig {
-		for s := 0; s < p; s++ {
-			col := e.shard.bucket[s][d]
-			for _, m := range col {
+		for s := range local {
+			for _, m := range local[s].bucket[d] {
 				e.routeDeliver(m, d)
 			}
-			e.shard.bucket[s][d] = col[:0]
 		}
 		return
 	}
-	cur := e.shard.dcur[d]
-	for s := 0; s < p; s++ {
-		cur[s] = 0
-	}
+	cur := local[d].dcur
+	clear(cur)
 	last := -1
 	for {
 		best, bestFrom := -1, 0
-		for s := 0; s < p; s++ {
-			col := e.shard.bucket[s][d]
+		for s := range local {
+			col := local[s].bucket[d]
 			if cur[s] < len(col) && (best < 0 || col[cur[s]].From < bestFrom) {
 				best, bestFrom = s, col[cur[s]].From
 			}
@@ -564,14 +596,11 @@ func (e *Engine) deliverShard(d int) {
 			panic(fmt.Sprintf("sim: bucket (%d→%d) out of source id order (%d after %d)", best, d, bestFrom, last))
 		}
 		last = bestFrom
-		col := e.shard.bucket[best][d]
+		col := local[best].bucket[d]
 		for cur[best] < len(col) && col[cur[best]].From == bestFrom {
 			e.routeDeliver(col[cur[best]], d)
 			cur[best]++
 		}
-	}
-	for s := 0; s < p; s++ {
-		e.shard.bucket[s][d] = e.shard.bucket[s][d][:0]
 	}
 }
 
@@ -604,21 +633,18 @@ func (e *Engine) routeDeliver(msg *gossip.Message, d int) {
 // merge as delivery, so the recorded stream is identical for every
 // shard count and layout.
 func (e *Engine) flushShardEvents() {
-	if e.shard.events == nil {
-		return
-	}
-	p := e.shards
+	local := e.shard.local
 	total := 0
-	for s := 0; s < p; s++ {
-		total += len(e.shard.events[s])
+	for s := range local {
+		total += len(local[s].events)
 	}
 	if total == 0 {
 		return
 	}
 	if e.shard.contig {
-		for s := 0; s < p; s++ {
-			if len(e.shard.events[s]) > 0 {
-				e.rec.RecordEvents(e.shard.events[s])
+		for s := range local {
+			if len(local[s].events) > 0 {
+				e.rec.RecordEvents(local[s].events)
 			}
 		}
 	} else {
@@ -627,13 +653,11 @@ func (e *Engine) flushShardEvents() {
 		// ascending), so draining each head run walks the events once
 		// instead of scanning every node id per round.
 		cur := e.shard.cursor
-		for s := 0; s < p; s++ {
-			cur[s] = 0
-		}
+		clear(cur)
 		for {
 			best, bestA := -1, 0
-			for s := 0; s < p; s++ {
-				evs := e.shard.events[s]
+			for s := range local {
+				evs := local[s].events
 				if cur[s] < len(evs) && (best < 0 || evs[cur[s]].A < bestA) {
 					best, bestA = s, evs[cur[s]].A
 				}
@@ -641,15 +665,15 @@ func (e *Engine) flushShardEvents() {
 			if best < 0 {
 				break
 			}
-			evs := e.shard.events[best]
+			evs := local[best].events
 			for cur[best] < len(evs) && evs[cur[best]].A == bestA {
 				e.rec.RecordEvent(evs[cur[best]])
 				cur[best]++
 			}
 		}
 	}
-	for s := 0; s < p; s++ {
-		e.shard.events[s] = e.shard.events[s][:0]
+	for s := range local {
+		local[s].events = local[s].events[:0]
 	}
 }
 
@@ -663,28 +687,29 @@ func (e *Engine) flushShardEvents() {
 // is fully overwritten before delivery), so this is invisible to the
 // byte-identical-across-P guarantee.
 func (e *Engine) rebalancePools() {
-	p := e.shards
+	local := e.shard.local
+	p := len(local)
 	if p == 1 {
 		return
 	}
 	total := 0
-	for s := 0; s < p; s++ {
-		total += len(e.shard.pool[s])
+	for s := range local {
+		total += len(local[s].pool)
 	}
 	target := total / p
 	surplus := e.shard.surplus[:0]
-	for s := 0; s < p; s++ {
-		for len(e.shard.pool[s]) > target+1 {
-			l := len(e.shard.pool[s]) - 1
-			surplus = append(surplus, e.shard.pool[s][l])
-			e.shard.pool[s][l] = nil
-			e.shard.pool[s] = e.shard.pool[s][:l]
+	for s := range local {
+		for len(local[s].pool) > target+1 {
+			l := len(local[s].pool) - 1
+			surplus = append(surplus, local[s].pool[l])
+			local[s].pool[l] = nil
+			local[s].pool = local[s].pool[:l]
 		}
 	}
 	for s := 0; s < p && len(surplus) > 0; s++ {
-		for len(e.shard.pool[s]) <= target && len(surplus) > 0 {
+		for len(local[s].pool) <= target && len(surplus) > 0 {
 			l := len(surplus) - 1
-			e.shard.pool[s] = append(e.shard.pool[s], surplus[l])
+			local[s].pool = append(local[s].pool, surplus[l])
 			surplus[l] = nil
 			surplus = surplus[:l]
 		}
@@ -740,28 +765,29 @@ func (e *Engine) interceptRound() {
 // and drops the per-shard keepalive counters and staged trace events —
 // per-trial state that Reset and Restore must not carry over.
 func (e *Engine) clearRoundState() {
-	for s := 0; s < e.shards; s++ {
-		for d := 0; d < e.shards; d++ {
-			for _, m := range e.shard.bucket[s][d] {
+	for s := range e.shard.local {
+		l := &e.shard.local[s]
+		for d, col := range l.bucket {
+			for _, m := range col {
 				e.putMsg(s, m)
 			}
-			e.shard.bucket[s][d] = e.shard.bucket[s][d][:0]
+			l.bucket[d] = col[:0]
 		}
-		e.shard.keep[s] = 0
-		if e.shard.events != nil {
-			e.shard.events[s] = e.shard.events[s][:0]
-		}
+		l.keep = 0
+		l.events = l.events[:0]
 	}
 }
 
 // errorsShard refills shard s's Errors scratch.
 func (e *Engine) errorsShard(s int) {
-	e.shard.errs[s] = e.errorsRange(s, e.shard.errs[s][:0])
+	l := &e.shard.local[s]
+	l.errs = e.errorsRange(s, l.errs[:0])
 }
 
 // errorsRange appends the worst relative error of every alive node in
 // shard s to out, using the shard's own estimate scratch.
 func (e *Engine) errorsRange(s int, out []float64) []float64 {
+	l := &e.shard.local[s]
 	for _, i32 := range e.shard.nodes[s] {
 		i := int(i32)
 		if !e.alive[i] {
@@ -769,8 +795,8 @@ func (e *Engine) errorsRange(s int, out []float64) []float64 {
 		}
 		var est []float64
 		if ip, ok := e.protos[i].(gossip.Estimator); ok {
-			e.shard.est[s] = ip.EstimateInto(e.shard.est[s])
-			est = e.shard.est[s]
+			l.est = ip.EstimateInto(l.est)
+			est = l.est
 		} else {
 			est = e.protos[i].Estimate()
 		}

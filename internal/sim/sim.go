@@ -398,9 +398,9 @@ func (e *Engine) ResetWithInputs(seed int64, init []gossip.Value) {
 			e.probeSums = make([]stats.Sum2, width)
 			e.probeVal = gossip.NewValue(width)
 		}
-		for s := range e.shard.pool {
-			e.shard.pool[s] = nil
-			e.shard.est[s] = make([]float64, width)
+		for s := range e.shard.local {
+			e.shard.local[s].pool = nil
+			e.shard.local[s].est = make([]float64, width, lineCap(width))
 		}
 	}
 	for i, v := range init {
@@ -466,10 +466,10 @@ func (e *Engine) recomputeTargets() {
 // Callers must fully overwrite its header fields; the flow slices
 // arrive reset to the engine width.
 func (e *Engine) getMsg(s int) *gossip.Message {
-	pool := e.shard.pool[s]
-	if n := len(pool); n > 0 {
-		m := pool[n-1]
-		e.shard.pool[s] = pool[:n-1]
+	l := &e.shard.local[s]
+	if n := len(l.pool); n > 0 {
+		m := l.pool[n-1]
+		l.pool = l.pool[:n-1]
 		e.rec.Bank(s).Inc(metrics.FreeListHits)
 		return m
 	}
@@ -488,7 +488,7 @@ func (e *Engine) putMsg(s int, m *gossip.Message) {
 	}
 	m.Flow1.X = m.Flow1.X[:e.width]
 	m.Flow2.X = m.Flow2.X[:e.width]
-	e.shard.pool[s] = append(e.shard.pool[s], m)
+	e.shard.local[s].pool = append(e.shard.local[s].pool, m)
 }
 
 // owner returns the shard that owns node i: between rounds, messages
@@ -532,10 +532,11 @@ func (e *Engine) Step() {
 // the round — the node body both models share: drain the inbox, run
 // the failure detector, push one message to a random live neighbor,
 // then send due keepalives and probes. s is the shard that owns the
-// nodes; a turn touches only node-local state plus shard s's pool,
-// buckets, counter bank and keepalive counter — the invariant that lets
-// phase 1 run shards in parallel. The loop lives here rather than in
-// the callers so the per-node path has no extra call.
+// nodes; a turn touches only node-local state plus shard s's block
+// (pool, outbox row, keepalive counter) and counter bank — the
+// invariant that lets phase 1 run shards in parallel. The loop lives
+// here rather than in the callers so the per-node path has no extra
+// call.
 func (e *Engine) activate(ids []int32, s int) {
 	for _, i32 := range ids {
 		i := int(i32)
@@ -582,7 +583,7 @@ func (e *Engine) activate(ids []int32, s int) {
 				e.send(s, m)
 			} else {
 				d := e.shard.shardOf[target]
-				e.shard.bucket[s][d] = append(e.shard.bucket[s][d], m)
+				e.shard.local[s].bucket[d] = append(e.shard.local[s].bucket[d], m)
 			}
 		}
 		if e.det != nil {
@@ -600,7 +601,7 @@ func (e *Engine) emit(s int, m *gossip.Message) {
 		return
 	}
 	d := e.shard.shardOf[m.To]
-	e.shard.bucket[s][d] = append(e.shard.bucket[s][d], m)
+	e.shard.local[s].bucket[d] = append(e.shard.local[s].bucket[d], m)
 }
 
 // noteSent records the round of node i's last send to j for keepalive
@@ -633,7 +634,7 @@ func (e *Engine) sendKeepalives(i, s int) {
 // keepalive sends one keepalive or probe from i to j on shard s.
 func (e *Engine) keepalive(i, j, s int) {
 	e.noteSent(i, j)
-	e.shard.keep[s]++
+	e.shard.local[s].keep++
 	e.rec.Bank(s).Inc(metrics.Keepalives)
 	e.emit(s, e.makeControl(i, j, gossip.KindKeepalive, s))
 }
@@ -1050,25 +1051,23 @@ func (e *Engine) Estimates() [][]float64 {
 // id order, so the result is the same skip-dead sequence for every
 // shard layout.
 func (e *Engine) Errors() []float64 {
-	p := e.shards
 	e.runShards("errors", metrics.PhaseErrors, e.shard.errorsTask)
+	local := e.shard.local
 	e.errBuf = e.errBuf[:0]
 	if e.shard.contig {
-		for s := 0; s < p; s++ {
-			e.errBuf = append(e.errBuf, e.shard.errs[s]...)
+		for s := range local {
+			e.errBuf = append(e.errBuf, local[s].errs...)
 		}
 		return e.errBuf
 	}
 	cur := e.shard.cursor
-	for s := 0; s < p; s++ {
-		cur[s] = 0
-	}
+	clear(cur)
 	for i := 0; i < len(e.protos); i++ {
 		if !e.alive[i] {
 			continue
 		}
 		s := e.shard.shardOf[i]
-		e.errBuf = append(e.errBuf, e.shard.errs[s][cur[s]])
+		e.errBuf = append(e.errBuf, local[s].errs[cur[s]])
 		cur[s]++
 	}
 	return e.errBuf
