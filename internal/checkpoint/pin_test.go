@@ -24,8 +24,12 @@ const pinPath = "testdata/pcf_pin.ckpt"
 // freeze a pre-eviction edge snapshot) and a join of node 16 wired to
 // nodes 0 and 5, so two nodes grow from 4 to 5 neighbours.
 func pinEngine() (*sim.Engine, *fault.Plan) {
+	return pinEngineOf(func() gossip.Protocol { return core.NewRobust() })
+}
+
+// pinEngineOf is pinEngine with another protocol.
+func pinEngineOf(mk func() gossip.Protocol) (*sim.Engine, *fault.Plan) {
 	g := topology.Hypercube(4)
-	mk := func() gossip.Protocol { return core.NewRobust() }
 	protos := make([]gossip.Protocol, g.N())
 	for i := range protos {
 		protos[i] = mk()

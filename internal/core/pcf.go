@@ -53,6 +53,8 @@
 package core
 
 import (
+	"slices"
+
 	"pcfreduce/internal/gossip"
 )
 
@@ -94,75 +96,28 @@ type edgeSnapshot struct {
 
 // Node is the push-cancel-flow state machine for a single node.
 //
-// All of a node's floats live in one allocation, laid out as
-//
-//	init | ϕ | scratch | fx | fw
-//
-// init, ϕ and scratch are width-float vectors (their weights sit in the
-// Value headers); fx holds the 2·deg slot payloads, width floats each,
-// with edge k's two flow slots at 2k and 2k+1; fw holds the 2·deg slot
-// weights. Slots have no Value headers of their own: reads build a view
-// on the fly (slot) and writes go through addSlot/setSlot/negSlot/
-// zeroSlot, which keep gossip.Value's per-component arithmetic, so every
-// result is bitwise what the Value algebra computes. Every float is one
-// dependent load away from the Node, and the robust variant's
-// local-mass pass (one sweep over all slots per send) streams through
-// contiguous memory. Neighbor ids and the live list share one []int32;
-// the id → edge-index map exists only above denseScanMax neighbors, and
-// the per-edge eviction snapshots only once a link has failed.
+// The flow slots and neighbor lists live in the shared edge store
+// (gossip.EdgeStore) with two slots per edge — edge k's slots are 2k and
+// 2k+1 — and init, ϕ and scratch are carved from the same float block,
+// so every float is one dependent load away from the Node and the
+// robust variant's local-mass pass (one sweep over all slots per send)
+// streams through contiguous memory. The handshake state (c, r) sits in
+// parallel per-edge arrays, and the per-edge eviction snapshots exist
+// only once a link has failed. Field order matters: everything
+// FillMessage, Receive and the engine's target draw read sits in the
+// first four 64-byte lines of the node, the edge store's per-message
+// fields last among them.
 type Node struct {
-	variant   Variant
-	id        int
-	width     int
-	neighbors []int32 // edge k's neighbor id
-	live      []int32 // live neighbors, in reintegration order; capacity deg
-	init      gossip.Value
-	phi       gossip.Value // ϕ: accumulated flow mass
-	scratch   gossip.Value // reused by FillMessage/EstimateInto
-	fx        []float64    // slot payloads: 2·deg·width floats
-	fw        []float64    // slot weights: 2·deg floats
-	c         []uint8      // active slot per edge: 0 or 1 (wire: 1 or 2)
-	r         []uint64     // role-change counter per edge
+	variant Variant
+	id      int
+	init    gossip.Value
+	phi     gossip.Value // ϕ: accumulated flow mass
+	scratch gossip.Value // reused by FillMessage/EstimateInto
+	c       []uint8      // active slot per edge: 0 or 1 (wire: 1 or 2)
+	r       []uint64     // role-change counter per edge
+	e       gossip.EdgeStore
 
 	saved []*edgeSnapshot // per edge; nil until the first OnLinkFailure
-	idx   map[int32]int   // neighbor id → edge index; nil up to denseScanMax neighbors
-}
-
-// denseScanMax bounds the neighborhood size up to which edgeIndex uses a
-// linear scan of the neighbor list instead of the id map. For typical
-// gossip degrees (ring, torus, hypercube) the scan is faster than
-// hashing; complete-like graphs fall back to the map.
-const denseScanMax = 32
-
-// edgeIndex returns the edge index for the given neighbor id, or -1 when
-// the id is not a neighbor.
-func (n *Node) edgeIndex(neighbor int) int {
-	t := int32(neighbor)
-	if len(n.neighbors) <= denseScanMax {
-		for k, j := range n.neighbors {
-			if j == t {
-				return k
-			}
-		}
-		return -1
-	}
-	if k, ok := n.idx[t]; ok {
-		return k
-	}
-	return -1
-}
-
-// index builds the id → edge-index map once the node has more than
-// denseScanMax neighbors; below that edgeIndex scans and the map stays
-// nil.
-func (n *Node) index() {
-	n.idx = nil
-	if len(n.neighbors) > denseScanMax {
-		n.idx = make(map[int32]int, len(n.neighbors))
-		for k, j := range n.neighbors {
-			n.idx[j] = k
-		}
-	}
 }
 
 // New returns an uninitialized PCF node with the given variant; callers
@@ -183,83 +138,17 @@ func (n *Node) Variant() Variant { return n.variant }
 // instead of reallocating it, so restarting a trial on a reused engine
 // does not allocate.
 func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
-	w := init.Width()
-	if n.init.X != nil && n.width == w && sameInt32s(n.neighbors, neighbors) {
-		clear(n.phi.X)
-		clear(n.fx)
-		clear(n.fw)
-	} else {
-		n.width = w
-		n.carve(len(neighbors))
-		copy(n.neighbors, neighbors)
-		n.c = make([]uint8, len(neighbors))
-		n.r = make([]uint64, len(neighbors))
-		n.index()
-	}
-	n.id = node
-	n.live = append(n.live[:0], n.neighbors...)
-	n.init.Set(init)
-	n.phi.W = 0
+	n.e.Reset(neighbors, init.Width(), 2, &n.init, &n.phi, &n.scratch)
+	deg := len(neighbors)
+	n.c = slices.Grow(n.c[:0], deg)[:deg]
+	n.r = slices.Grow(n.r[:0], deg)[:deg]
 	clear(n.c)
 	for k := range n.r {
 		n.r[k] = 1
 	}
+	n.id = node
+	n.init.Set(init)
 	n.saved = nil
-}
-
-// carve allocates a zeroed float block and id list sized for deg edges
-// at the node's width and points every view into them. Each view is
-// capped at its own extent, so no view can grow into its neighbor.
-func (n *Node) carve(deg int) {
-	w := n.width
-	f := make([]float64, 3*w+2*deg*(w+1))
-	n.init.X = f[:w:w]
-	n.phi.X = f[w : 2*w : 2*w]
-	n.scratch.X = f[2*w : 3*w : 3*w]
-	n.fx = f[3*w : 3*w+2*deg*w : 3*w+2*deg*w]
-	n.fw = f[3*w+2*deg*w:]
-	ids := make([]int32, 2*deg)
-	n.neighbors = ids[:deg:deg]
-	n.live = ids[deg:deg]
-}
-
-// slot returns a view of flow slot s: X aliases the node's payloads, W
-// is a copy of the slot's weight.
-func (n *Node) slot(s int) gossip.Value {
-	w := n.width
-	return gossip.Value{X: n.fx[s*w : (s+1)*w : (s+1)*w], W: n.fw[s]}
-}
-
-// addSlot sets slot s ← slot s + v (gossip.Value.AddInPlace).
-func (n *Node) addSlot(s int, v gossip.Value) {
-	x := n.fx[s*n.width : (s+1)*n.width]
-	x = x[:len(v.X)]
-	for i, y := range v.X {
-		x[i] += y
-	}
-	n.fw[s] += v.W
-}
-
-// setSlot sets slot s ← v (gossip.Value.Set).
-func (n *Node) setSlot(s int, v gossip.Value) {
-	copy(n.fx[s*n.width:(s+1)*n.width], v.X)
-	n.fw[s] = v.W
-}
-
-// negSlot sets slot s ← −v (gossip.Value.SetNeg).
-func (n *Node) negSlot(s int, v gossip.Value) {
-	x := n.fx[s*n.width : (s+1)*n.width]
-	x = x[:len(v.X)]
-	for i, y := range v.X {
-		x[i] = -y
-	}
-	n.fw[s] = -v.W
-}
-
-// zeroSlot sets slot s to zero (gossip.Value.Zero).
-func (n *Node) zeroSlot(s int) {
-	clear(n.fx[s*n.width : (s+1)*n.width])
-	n.fw[s] = 0
 }
 
 // local returns the node's current mass: v − ϕ for the efficient
@@ -278,15 +167,7 @@ func (n *Node) localInto(dst *gossip.Value) {
 	dst.Set(n.init)
 	dst.SubInPlace(n.phi)
 	if n.variant == VariantRobust {
-		x, w := dst.X, n.width
-		for s := 0; s < len(n.fw); s++ {
-			for i, y := range n.fx[s*w : (s+1)*w] {
-				x[i] -= y
-			}
-		}
-		for _, y := range n.fw {
-			dst.W -= y
-		}
+		n.e.SubSlots(dst, 1)
 	}
 }
 
@@ -303,30 +184,30 @@ func (n *Node) MakeMessage(target int) gossip.Message {
 // of MakeMessage (identical state transition, bit-identical wire
 // contents).
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
-	k := n.edgeIndex(target)
+	k := n.e.Edge(target)
 	if k < 0 {
 		panic("core: send to non-neighbor")
 	}
 	n.localInto(&n.scratch)
 	n.scratch.HalfInPlace()
-	n.addSlot(2*k+int(n.c[k]), n.scratch)
+	n.e.AddSlot(2*k+int(n.c[k]), n.scratch)
 	if n.variant == VariantEfficient {
 		n.phi.AddInPlace(n.scratch) // line 32: ϕ ← ϕ + e/2
 	}
 	msg.From, msg.To, msg.Kind = n.id, target, gossip.KindData
-	msg.Flow1.Set(n.slot(2 * k))
-	msg.Flow2.Set(n.slot(2*k + 1))
+	msg.Flow1.Set(n.e.Slot(2 * k))
+	msg.Flow2.Set(n.e.Slot(2*k + 1))
 	msg.C = n.c[k] + 1 // wire format counts slots from 1, as the paper does
 	msg.R = n.r[k]
 }
 
 // Receive implements gossip.Protocol (paper Fig. 5 lines 6–29).
 func (n *Node) Receive(msg gossip.Message) {
-	k := n.edgeIndex(msg.From)
+	k := n.e.Edge(msg.From)
 	if k < 0 {
 		return // unknown sender
 	}
-	if msg.Flow1.Width() != n.width || msg.Flow2.Width() != n.width {
+	if msg.Flow1.Width() != n.e.Width() || msg.Flow2.Width() != n.e.Width() {
 		return // malformed (possibly corrupted) message
 	}
 	if !msg.Flow1.Finite() || !msg.Flow2.Finite() {
@@ -362,10 +243,10 @@ func (n *Node) Receive(msg gossip.Message) {
 			n.r[k] = msg.R
 			for s := 0; s < 2; s++ {
 				if n.variant == VariantEfficient {
-					n.phi.SubInPlace(n.slot(2*k + s))
+					n.phi.SubInPlace(n.e.Slot(2*k + s))
 					n.phi.SubInPlace(peerF[s])
 				}
-				n.negSlot(2*k+s, peerF[s])
+				n.e.NegSlot(2*k+s, peerF[s])
 			}
 		}
 		return // otherwise stale: wait for a current message
@@ -378,13 +259,13 @@ func (n *Node) Receive(msg gossip.Message) {
 	if n.variant == VariantEfficient {
 		// ϕ ← ϕ − (f(i,j,a) + f(j,i,a)); the flow then becomes −f(j,i,a),
 		// keeping ϕ equal to the node's net outflow.
-		n.phi.SubInPlace(n.slot(2*k + a))
+		n.phi.SubInPlace(n.e.Slot(2*k + a))
 		n.phi.SubInPlace(peerF[a])
 	}
-	n.negSlot(2*k+a, peerF[a])
+	n.e.NegSlot(2*k+a, peerF[a])
 
 	switch {
-	case peerF[p].EqualNeg(n.slot(2*k+p)) && n.r[k] == msg.R:
+	case peerF[p].EqualNeg(n.e.Slot(2*k+p)) && n.r[k] == msg.R:
 		// Lines 13–16, case (i): flow conservation achieved on the
 		// passive slot — cancel our half.
 		n.cancel(k, p)
@@ -411,10 +292,10 @@ func (n *Node) Receive(msg gossip.Message) {
 		// completes the cancellation against our unmodified half.
 		if n.r[k] == msg.R {
 			if n.variant == VariantEfficient {
-				n.phi.SubInPlace(n.slot(2*k + p))
+				n.phi.SubInPlace(n.e.Slot(2*k + p))
 				n.phi.SubInPlace(peerF[p])
 			}
-			n.negSlot(2*k+p, peerF[p])
+			n.e.NegSlot(2*k+p, peerF[p])
 		}
 	}
 }
@@ -424,9 +305,9 @@ func (n *Node) Receive(msg gossip.Message) {
 // for it) and zeroes the slot.
 func (n *Node) cancel(k, s int) {
 	if n.variant == VariantRobust {
-		n.phi.AddInPlace(n.slot(2*k + s))
+		n.phi.AddInPlace(n.e.Slot(2*k + s))
 	}
-	n.zeroSlot(2*k + s)
+	n.e.ZeroSlot(2*k + s)
 }
 
 // Estimate implements gossip.Protocol.
@@ -465,13 +346,13 @@ func (n *Node) LocalValue() gossip.Value { return n.local() }
 // dead node, converging to the surviving-mass aggregate rather than the
 // survivors' initial-data aggregate — the two differ by O(ε(t_crash)/n).
 func (n *Node) OnLinkFailure(neighbor int) {
-	if k := n.edgeIndex(neighbor); k >= 0 {
-		f0, f1 := n.slot(2*k), n.slot(2*k+1)
+	if k := n.e.Fail(neighbor); k >= 0 {
+		f0, f1 := n.e.Slot(2*k), n.e.Slot(2*k+1)
 		// Freeze the edge state first: if the "failure" turns out to be a
 		// false suspicion or a transient outage, OnLinkRecover reinstates
 		// it and the eviction becomes a no-op in retrospect.
 		if n.saved == nil {
-			n.saved = make([]*edgeSnapshot, len(n.neighbors))
+			n.saved = make([]*edgeSnapshot, n.e.Degree())
 		}
 		n.saved[k] = &edgeSnapshot{
 			f: [2]gossip.Value{f0.Clone(), f1.Clone()},
@@ -484,12 +365,8 @@ func (n *Node) OnLinkFailure(neighbor int) {
 			n.phi.AddInPlace(f0)
 			n.phi.AddInPlace(f1)
 		}
-		n.zeroSlot(2 * k)
-		n.zeroSlot(2*k + 1)
-		n.c[k] = 0
-		n.r[k] = 1
+		n.restart(k)
 	}
-	n.live = remove(n.live, int32(neighbor))
 }
 
 // OnLinkRecover implements gossip.Reintegrator: re-admit a neighbor
@@ -507,8 +384,8 @@ func (n *Node) OnLinkFailure(neighbor int) {
 // message. The estimate does not move at reintegration time in either
 // variant, mirroring the zero-cost eviction.
 func (n *Node) OnLinkRecover(neighbor int) {
-	k := n.edgeIndex(neighbor)
-	if k < 0 || contains(n.live, int32(neighbor)) {
+	k := n.e.Recover(neighbor)
+	if k < 0 {
 		return
 	}
 	if s := n.savedEdge(k); s != nil {
@@ -518,39 +395,43 @@ func (n *Node) OnLinkRecover(neighbor int) {
 			n.phi.SubInPlace(s.f[0])
 			n.phi.SubInPlace(s.f[1])
 		}
-		n.setSlot(2*k, s.f[0])
-		n.setSlot(2*k+1, s.f[1])
+		n.e.SetSlot(2*k, s.f[0])
+		n.e.SetSlot(2*k+1, s.f[1])
 		n.c[k] = s.c
 		n.r[k] = s.r
 		n.saved[k] = nil
 	} else {
-		n.zeroSlot(2 * k)
-		n.zeroSlot(2*k + 1)
-		n.c[k] = 0
-		n.r[k] = 1
+		n.restart(k)
 	}
-	n.live = append(n.live, int32(neighbor))
+}
+
+// restart gives edge k a clean start: zero slots, active slot 0, role
+// counter 1.
+func (n *Node) restart(k int) {
+	n.e.ZeroEdge(k)
+	n.c[k] = 0
+	n.r[k] = 1
 }
 
 // LiveNeighbors implements gossip.Protocol.
-func (n *Node) LiveNeighbors() []int32 { return n.live }
+func (n *Node) LiveNeighbors() []int32 { return n.e.Live() }
 
 // Flow implements gossip.Flows: the net live flow toward the neighbor
 // (sum of both slots). After cancellation cycles this converges toward
 // values on the order of the aggregate, the central claim of the paper.
 func (n *Node) Flow(neighbor int) gossip.Value {
-	k := n.edgeIndex(neighbor)
+	k := n.e.Edge(neighbor)
 	if k < 0 {
-		return gossip.NewValue(n.width)
+		return gossip.NewValue(n.e.Width())
 	}
-	return n.slot(2 * k).Add(n.slot(2*k + 1))
+	return n.e.Slot(2 * k).Add(n.e.Slot(2*k + 1))
 }
 
 // RoleState returns the (active slot, role counter) control state for the
 // given neighbor, exposed for tests of the cancellation handshake. The
 // active slot is reported in wire format (1 or 2).
 func (n *Node) RoleState(neighbor int) (c uint8, r uint64) {
-	k := n.edgeIndex(neighbor)
+	k := n.e.Edge(neighbor)
 	if k < 0 {
 		return 0, 0
 	}
@@ -566,11 +447,11 @@ func (n *Node) Phi() gossip.Value { return n.phi.Clone() }
 // a drain, each slot either mirrors the peer's bitwise or has been
 // cancelled to zero on at least one side).
 func (n *Node) Slots(neighbor int) (f [2]gossip.Value, ok bool) {
-	k := n.edgeIndex(neighbor)
+	k := n.e.Edge(neighbor)
 	if k < 0 {
 		return f, false
 	}
-	return [2]gossip.Value{n.slot(2 * k).Clone(), n.slot(2*k + 1).Clone()}, true
+	return [2]gossip.Value{n.e.Slot(2 * k).Clone(), n.e.Slot(2*k + 1).Clone()}, true
 }
 
 // SlotViews implements gossip.SlotsViewer: the non-cloning form of
@@ -578,11 +459,11 @@ func (n *Node) Slots(neighbor int) (f [2]gossip.Value, ok bool) {
 // the node's slot payloads and are valid only until its next state
 // change.
 func (n *Node) SlotViews(neighbor int) (f [2]gossip.Value, ok bool) {
-	k := n.edgeIndex(neighbor)
+	k := n.e.Edge(neighbor)
 	if k < 0 {
 		return f, false
 	}
-	return [2]gossip.Value{n.slot(2 * k), n.slot(2*k + 1)}, true
+	return [2]gossip.Value{n.e.Slot(2 * k), n.e.Slot(2*k + 1)}, true
 }
 
 // LocalValueInto implements gossip.MassReader: LocalValue without the
@@ -600,41 +481,19 @@ func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
 // OnLinkFailure left it, and the fresh zero pair is trivially
 // antisymmetric.
 func (n *Node) OnNeighborJoin(neighbor int) {
-	if k := n.edgeIndex(neighbor); k >= 0 {
-		if contains(n.live, int32(neighbor)) {
-			return
+	switch k := n.e.Join(neighbor, &n.init, &n.phi, &n.scratch); {
+	case k < 0: // already live
+	case k == len(n.c): // brand-new edge: the store appended zero slots
+		n.c = append(n.c, 0)
+		n.r = append(n.r, 1)
+		if n.saved != nil {
+			n.saved = append(n.saved, nil)
 		}
-		n.zeroSlot(2 * k)
-		n.zeroSlot(2*k + 1)
-		n.c[k] = 0
-		n.r[k] = 1
+	default: // recreated edge
+		n.restart(k)
 		if n.saved != nil {
 			n.saved[k] = nil
 		}
-		n.live = append(n.live, int32(neighbor))
-		return
-	}
-	// Regrow the block and id list by one edge. Edge k keeps index k, so
-	// the new edge's slots 2·deg and 2·deg+1 start at zero.
-	old := *n
-	deg := len(old.neighbors)
-	n.carve(deg + 1)
-	copy(n.init.X, old.init.X)
-	copy(n.phi.X, old.phi.X)
-	copy(n.fx, old.fx)
-	copy(n.fw, old.fw)
-	copy(n.neighbors, old.neighbors)
-	n.neighbors[deg] = int32(neighbor)
-	n.live = append(append(n.live, old.live...), int32(neighbor))
-	n.c = append(n.c, 0)
-	n.r = append(n.r, 1)
-	if n.saved != nil {
-		n.saved = append(n.saved, nil)
-	}
-	if n.idx != nil {
-		n.idx[int32(neighbor)] = deg
-	} else {
-		n.index()
 	}
 }
 
@@ -651,37 +510,6 @@ func (n *Node) savedEdge(k int) *edgeSnapshot {
 		return nil
 	}
 	return n.saved[k]
-}
-
-func remove(list []int32, x int32) []int32 {
-	out := list[:0]
-	for _, v := range list {
-		if v != x {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func contains(list []int32, x int32) bool {
-	for _, v := range list {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func sameInt32s(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SetInput implements gossip.DynamicInput: live-monitoring input change

@@ -1,10 +1,10 @@
 package core
 
 // Checkpoint support: PCF's mutable state serialized into flat snapshot
-// streams (gossip.Snapshotter). The flat node layout makes this a
-// handful of bulk copies: the slot payloads (fx) and the slot weights
-// (fw) are one copy each, written with no length prefix so the stream is
-// exactly the per-slot payloads followed by the per-slot weights; only
+// streams (gossip.Snapshotter). The flat edge store makes this a
+// handful of bulk copies: the slot payloads and the slot weights are one
+// copy each, written with no length prefix so the stream is exactly the
+// per-slot payloads followed by the per-slot weights; only
 // the (c, r) control pairs, the frozen pre-eviction edge snapshots and
 // the live list need element walks. The live list is serialized
 // verbatim — its order encodes the reintegration history and feeds the
@@ -18,8 +18,7 @@ import "pcfreduce/internal/gossip"
 func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutValue(n.init)
 	w.PutValue(n.phi)
-	w.PutF64s(n.fx)
-	w.PutF64s(n.fw)
+	n.e.SaveSlots(w)
 	for k := range n.c {
 		w.PutByte(n.c[k])
 		w.PutU64(n.r[k])
@@ -36,39 +35,48 @@ func (n *Node) SaveState(w *gossip.StateWriter) {
 		w.PutByte(s.c)
 		w.PutU64(s.r)
 	}
-	w.PutI32s(n.live)
+	n.e.SaveLive(w)
 }
 
 // LoadState implements gossip.Snapshotter. The node must have been
 // Reset with the same (id, neighbors, width) the snapshot was taken
-// under; failures surface via the reader's sticky error.
+// under; failures surface via the reader's sticky error. State no run
+// can produce latches that error too: an active slot other than 0 or 1
+// (which would address another edge's slots) and a live neighbor whose
+// edge holds a frozen eviction snapshot (OnLinkRecover clears it).
 func (n *Node) LoadState(r *gossip.StateReader) {
 	r.Value(&n.init)
 	r.Value(&n.phi)
-	if xs := r.F64s(len(n.fx)); xs != nil {
-		copy(n.fx, xs)
-	}
-	if ws := r.F64s(len(n.fw)); ws != nil {
-		copy(n.fw, ws)
-	}
+	n.e.LoadSlots(r)
 	for k := range n.c {
 		n.c[k] = r.Byte()
 		n.r[k] = r.U64()
+		if n.c[k] > 1 {
+			r.Fail()
+		}
 	}
 	n.saved = nil
 	for k := range n.c {
 		if !r.Bool() {
 			continue
 		}
-		s := &edgeSnapshot{f: [2]gossip.Value{gossip.NewValue(n.width), gossip.NewValue(n.width)}}
+		s := &edgeSnapshot{f: [2]gossip.Value{gossip.NewValue(n.e.Width()), gossip.NewValue(n.e.Width())}}
 		r.Value(&s.f[0])
 		r.Value(&s.f[1])
 		s.c = r.Byte()
 		s.r = r.U64()
+		if s.c > 1 {
+			r.Fail()
+		}
 		if n.saved == nil {
 			n.saved = make([]*edgeSnapshot, len(n.c))
 		}
 		n.saved[k] = s
 	}
-	n.live = append(n.live[:0], r.I32s()...)
+	n.e.LoadLive(r)
+	for k := range n.saved {
+		if n.saved[k] != nil && n.e.IsLive(k) {
+			r.Fail()
+		}
+	}
 }

@@ -441,7 +441,7 @@ func TestResetReuse(t *testing.T) {
 	// storage — dmGS and eigen restart every reduction through
 	// ResetWithInputs on this path — on both sides of the id-map cutoff
 	// and after an eviction allocated the edge snapshots.
-	for _, deg := range []int{2, denseScanMax + 8} {
+	for _, deg := range []int{2, mapCutoff + 8} {
 		nbrs := make([]int32, deg)
 		for k := range nbrs {
 			nbrs[k] = int32(k + 1)
@@ -498,14 +498,18 @@ func sameBits(a, b gossip.Value) bool {
 	return true
 }
 
-// TestNeighborJoinCrossesMapCutoff grows a node from denseScanMax to
-// denseScanMax+2 neighbors, the point where edge lookup switches from
+// mapCutoff is the neighborhood size above which the edge store looks
+// edges up through its id map instead of a linear scan.
+const mapCutoff = 32
+
+// TestNeighborJoinCrossesMapCutoff grows a node from mapCutoff to
+// mapCutoff+2 neighbors, the point where edge lookup switches from
 // the linear scan to the id map: every existing edge must stay
 // reachable with its slots, role state and frozen eviction snapshot
 // intact, and the new edges must start clean and work.
 func TestNeighborJoinCrossesMapCutoff(t *testing.T) {
 	for _, v := range []Variant{VariantEfficient, VariantRobust} {
-		hub, _ := star(v, denseScanMax)
+		hub, _ := star(v, mapCutoff)
 		hub.OnLinkFailure(5)
 		type edge struct {
 			f    [2]gossip.Value
@@ -514,18 +518,15 @@ func TestNeighborJoinCrossesMapCutoff(t *testing.T) {
 			snap *edgeSnapshot
 		}
 		before := map[int]edge{}
-		for j := 1; j <= denseScanMax; j++ {
+		for j := 1; j <= mapCutoff; j++ {
 			f, _ := hub.Slots(j)
 			c, r := hub.RoleState(j)
-			before[j] = edge{f, c, r, hub.savedEdge(hub.edgeIndex(j))}
+			before[j] = edge{f, c, r, hub.savedEdge(hub.e.Edge(j))}
 		}
 		phi, mass := hub.Phi(), hub.LocalValue()
 
 		for _, id := range []int{100, 101} {
 			hub.OnNeighborJoin(id)
-		}
-		if hub.idx == nil {
-			t.Fatalf("%v: no id map above %d neighbors", v, denseScanMax)
 		}
 		for j, e := range before {
 			f, ok := hub.Slots(j)
@@ -533,7 +534,7 @@ func TestNeighborJoinCrossesMapCutoff(t *testing.T) {
 			if !ok || !sameBits(f[0], e.f[0]) || !sameBits(f[1], e.f[1]) || c != e.c || r != e.r {
 				t.Fatalf("%v: edge to %d changed by the join", v, j)
 			}
-			if hub.savedEdge(hub.edgeIndex(j)) != e.snap {
+			if hub.savedEdge(hub.e.Edge(j)) != e.snap {
 				t.Fatalf("%v: eviction snapshot of edge to %d changed by the join", v, j)
 			}
 		}
@@ -546,8 +547,8 @@ func TestNeighborJoinCrossesMapCutoff(t *testing.T) {
 				t.Fatalf("%v: joined edge to %d does not start clean", v, id)
 			}
 		}
-		if got := len(hub.LiveNeighbors()); got != denseScanMax+1 {
-			t.Fatalf("%v: %d live neighbors, want %d", v, got, denseScanMax+1)
+		if got := len(hub.LiveNeighbors()); got != mapCutoff+1 {
+			t.Fatalf("%v: %d live neighbors, want %d", v, got, mapCutoff+1)
 		}
 
 		hub.OnLinkRecover(5)
@@ -569,8 +570,8 @@ func TestRobustLocalMatchesSlotSum(t *testing.T) {
 	hub, _ := star(VariantRobust, 6)
 	want := hub.init.Clone()
 	want.SubInPlace(hub.phi)
-	for _, j := range hub.neighbors {
-		f, _ := hub.Slots(int(j))
+	for j := 1; j <= 6; j++ {
+		f, _ := hub.Slots(j)
 		want.SubInPlace(f[0])
 		want.SubInPlace(f[1])
 	}

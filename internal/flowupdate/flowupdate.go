@@ -25,90 +25,42 @@
 package flowupdate
 
 import (
+	"slices"
+
 	"pcfreduce/internal/gossip"
 )
 
 // Node is the Flow-Updating state machine for a single node.
 //
-// Per-neighbor state lives in struct-of-arrays form, parallel to the
-// neighbor list: the flow and last-estimate X vectors are views into one
-// shared backing array, so the averaging pass (over all flows and known
-// neighbor estimates per send) streams through contiguous memory without
-// hashing. The map only translates sender ids to slice positions on the
-// receive path of high-degree nodes.
+// The per-edge flows and last-reported estimates live in the shared
+// edge store (gossip.EdgeStore) with two slots per edge — edge k's flow
+// in slot 2k, the estimate in 2k+1 — and the input and scratch values
+// are carved from the same float block, so the averaging pass (over all
+// flows and known neighbor estimates per send) streams through
+// contiguous memory. Whether a neighbor has been heard from sits in the
+// parallel known array.
 type Node struct {
-	id        int
-	neighbors []int32
-	live      []int32
-	init      gossip.Value
-	flowList  []gossip.Value // flow per neighbor; X views into backing
-	lastEst   []gossip.Value // last estimate reported by each neighbor; views too
-	known     []bool         // whether we have heard from the neighbor yet
-	backing   []float64      // flat payloads: 2·deg·width floats (flows, then estimates)
-	idx       map[int32]int  // neighbor id → position in the parallel slices
-	width     int
-	scrAvg    gossip.Value // reused by FillMessage (averaging target)
-	scrDelta  gossip.Value // reused by FillMessage (flow adjustment)
-	scrLocal  gossip.Value // reused by EstimateInto
+	id      int
+	e       gossip.EdgeStore
+	init    gossip.Value
+	scratch gossip.Value // reused by FillMessage (averaging target) and EstimateInto
+	delta   gossip.Value // reused by FillMessage (flow adjustment)
+	known   []bool       // whether we have heard from edge k's neighbor yet
 }
 
 // New returns an uninitialized Flow-Updating node; callers must Reset it.
 func New() *Node { return &Node{} }
-
-// denseScanMax bounds the neighborhood size up to which indexOf uses a
-// linear scan of the neighbor list instead of the id map. For typical
-// gossip degrees the scan is faster than hashing; complete-like graphs
-// fall back to the map.
-const denseScanMax = 32
-
-// indexOf translates a neighbor id to its dense-slice position, or -1
-// when the id is not a neighbor.
-func (n *Node) indexOf(neighbor int) int {
-	t := int32(neighbor)
-	if len(n.neighbors) <= denseScanMax {
-		for k, j := range n.neighbors {
-			if j == t {
-				return k
-			}
-		}
-		return -1
-	}
-	if k, ok := n.idx[t]; ok {
-		return k
-	}
-	return -1
-}
 
 // Reset implements gossip.Protocol. A repeated Reset over the same
 // neighborhood and value width zeroes the existing per-edge state in
 // place instead of reallocating it, so restarting a trial on a reused
 // engine does not allocate.
 func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
-	reuse := n.idx != nil && n.width == init.Width() && sameInt32s(n.neighbors, neighbors)
+	n.e.Reset(neighbors, init.Width(), 2, &n.init, &n.scratch, &n.delta)
+	n.known = slices.Grow(n.known[:0], len(neighbors))[:len(neighbors)]
+	clear(n.known)
 	n.id = node
-	n.neighbors = append(n.neighbors[:0], neighbors...)
-	n.live = append(n.live[:0], neighbors...)
 	n.init.Set(init)
-	n.width = init.Width()
-	if reuse {
-		for k := range n.flowList {
-			n.flowList[k].Zero()
-			n.lastEst[k].Zero()
-			n.known[k] = false
-		}
-		return
-	}
-	deg := len(neighbors)
-	n.backing = make([]float64, 2*deg*n.width)
-	n.flowList = make([]gossip.Value, deg)
-	n.lastEst = make([]gossip.Value, deg)
-	n.known = make([]bool, deg)
-	n.idx = make(map[int32]int, deg)
-	for k, j := range neighbors {
-		n.flowList[k].X = n.backing[k*n.width : (k+1)*n.width]
-		n.lastEst[k].X = n.backing[(deg+k)*n.width : (deg+k+1)*n.width]
-		n.idx[j] = k
-	}
 }
 
 // local returns eᵢ = vᵢ − Σ_j f(i,j).
@@ -122,9 +74,7 @@ func (n *Node) local() gossip.Value {
 // (beyond growing dst once to the value width).
 func (n *Node) localInto(dst *gossip.Value) {
 	dst.Set(n.init)
-	for k := range n.flowList {
-		dst.SubInPlace(n.flowList[k])
-	}
+	n.e.SubSlots(dst, 2)
 }
 
 // averagedInto computes the FU averaging target A into dst: the mean of
@@ -136,12 +86,12 @@ func (n *Node) localInto(dst *gossip.Value) {
 func (n *Node) averagedInto(dst *gossip.Value) {
 	n.localInto(dst)
 	count := 1.0
-	for _, j := range n.live {
-		k := n.indexOf(int(j))
+	for _, j := range n.e.Live() {
+		k := n.e.Edge(int(j))
 		if !n.known[k] {
 			continue
 		}
-		dst.AddInPlace(n.lastEst[k])
+		dst.AddInPlace(n.e.Slot(2*k + 1))
 		count++
 	}
 	scale := 1 / count
@@ -164,38 +114,37 @@ func (n *Node) MakeMessage(target int) gossip.Message {
 // of MakeMessage (identical state transition, bit-identical wire
 // contents).
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
-	k := n.indexOf(target)
+	k := n.e.Edge(target)
 	if k < 0 {
 		panic("flowupdate: send to non-neighbor")
 	}
-	f := &n.flowList[k]
-	n.averagedInto(&n.scrAvg)
+	n.averagedInto(&n.scratch)
 	// Before first contact the neighbor's estimate is unknown; ship the
 	// current flow unchanged so the neighbor learns ours without a mass
 	// transfer.
 	if n.known[k] {
-		n.scrDelta.Set(n.scrAvg)
-		n.scrDelta.SubInPlace(n.lastEst[k])
-		f.AddInPlace(n.scrDelta)
+		n.delta.Set(n.scratch)
+		n.delta.SubInPlace(n.e.Slot(2*k + 1))
+		n.e.AddSlot(2*k, n.delta)
 	}
 	msg.From, msg.To, msg.Kind = n.id, target, gossip.KindData
 	msg.C, msg.R = 0, 0
-	msg.Flow1.Set(*f)
-	msg.Flow2.Set(n.scrAvg)
+	msg.Flow1.Set(n.e.Slot(2 * k))
+	msg.Flow2.Set(n.scratch)
 }
 
 // Receive implements gossip.Protocol: adopt the sender's flow (negated)
 // and remember its estimate.
 func (n *Node) Receive(msg gossip.Message) {
-	k := n.indexOf(msg.From)
-	if k < 0 || msg.Flow1.Width() != n.width || msg.Flow2.Width() != n.width {
+	k := n.e.Edge(msg.From)
+	if k < 0 || msg.Flow1.Width() != n.e.Width() || msg.Flow2.Width() != n.e.Width() {
 		return
 	}
 	if !msg.Flow1.Finite() || !msg.Flow2.Finite() {
 		return // detectably corrupted payload: discard, as in push-flow
 	}
-	n.flowList[k].SetNeg(msg.Flow1)
-	n.lastEst[k].Set(msg.Flow2)
+	n.e.NegSlot(2*k, msg.Flow1)
+	n.e.SetSlot(2*k+1, msg.Flow2)
 	n.known[k] = true
 }
 
@@ -204,8 +153,8 @@ func (n *Node) Estimate() []float64 { return n.local().Estimate() }
 
 // EstimateInto implements gossip.Estimator.
 func (n *Node) EstimateInto(dst []float64) []float64 {
-	n.localInto(&n.scrLocal)
-	return n.scrLocal.EstimateInto(dst)
+	n.localInto(&n.scratch)
+	return n.scratch.EstimateInto(dst)
 }
 
 // LocalValue implements gossip.Protocol.
@@ -214,12 +163,10 @@ func (n *Node) LocalValue() gossip.Value { return n.local() }
 // OnLinkFailure implements gossip.Protocol: zero the edge flow, forget
 // the neighbor's estimate and stop using the link.
 func (n *Node) OnLinkFailure(neighbor int) {
-	if k := n.indexOf(neighbor); k >= 0 {
-		n.flowList[k].Zero()
-		n.lastEst[k].Zero()
+	if k := n.e.Fail(neighbor); k >= 0 {
+		n.e.ZeroEdge(k)
 		n.known[k] = false
 	}
-	n.live = remove(n.live, int32(neighbor))
 }
 
 // OnLinkRecover implements gossip.Reintegrator: re-admit a neighbor
@@ -227,33 +174,28 @@ func (n *Node) OnLinkFailure(neighbor int) {
 // remembered estimate, exactly as after Reset; the averaging dynamics
 // re-learn the neighbor's state from its next message.
 func (n *Node) OnLinkRecover(neighbor int) {
-	k := n.indexOf(neighbor)
-	if k < 0 || contains(n.live, int32(neighbor)) {
-		return
+	if k := n.e.Recover(neighbor); k >= 0 {
+		n.known[k] = false
 	}
-	n.flowList[k].Zero()
-	n.lastEst[k].Zero()
-	n.known[k] = false
-	n.live = append(n.live, int32(neighbor))
 }
 
 // LiveNeighbors implements gossip.Protocol.
-func (n *Node) LiveNeighbors() []int32 { return n.live }
+func (n *Node) LiveNeighbors() []int32 { return n.e.Live() }
 
 // Flow implements gossip.Flows.
 func (n *Node) Flow(neighbor int) gossip.Value {
-	if k := n.indexOf(neighbor); k >= 0 {
-		return n.flowList[k].Clone()
+	if k := n.e.Edge(neighbor); k >= 0 {
+		return n.e.Slot(2 * k).Clone()
 	}
-	return gossip.NewValue(n.width)
+	return gossip.NewValue(n.e.Width())
 }
 
 // FlowView implements gossip.FlowViewer: the non-cloning Flow used by
 // the metrics anti-symmetry probe. The view aliases the node's flow
 // backing and is valid only until its next state change.
 func (n *Node) FlowView(neighbor int) (gossip.Value, bool) {
-	if k := n.indexOf(neighbor); k >= 0 {
-		return n.flowList[k], true
+	if k := n.e.Edge(neighbor); k >= 0 {
+		return n.e.Slot(2 * k), true
 	}
 	return gossip.Value{}, false
 }
@@ -264,67 +206,21 @@ func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
 
 // OnNeighborJoin implements gossip.OpenMembership: admit a brand-new
 // neighbor with a zero flow and no remembered estimate (mass-neutral by
-// construction). The backing stores flows then estimates, so growing
-// the degree shifts the estimate region; both regions are copied into
-// place and every view is rebuilt. An edge recreated onto a neighbor we
-// already know reduces to reintegration.
+// construction). An edge recreated onto a neighbor we already know
+// reduces to reintegration.
 func (n *Node) OnNeighborJoin(neighbor int) {
-	if n.indexOf(neighbor) >= 0 {
-		n.OnLinkRecover(neighbor)
-		return
+	k := n.e.Join(neighbor, &n.init, &n.scratch, &n.delta)
+	if k == len(n.known) {
+		n.known = append(n.known, false)
+	} else if k >= 0 {
+		n.known[k] = false
 	}
-	deg := len(n.neighbors)
-	grown := make([]float64, 2*(deg+1)*n.width)
-	copy(grown, n.backing[:deg*n.width])                   // flows
-	copy(grown[(deg+1)*n.width:], n.backing[deg*n.width:]) // estimates
-	n.backing = grown
-	n.neighbors = append(n.neighbors, int32(neighbor))
-	n.flowList = append(n.flowList, gossip.Value{})
-	n.lastEst = append(n.lastEst, gossip.Value{})
-	n.known = append(n.known, false)
-	for k := range n.flowList {
-		n.flowList[k].X = n.backing[k*n.width : (k+1)*n.width]
-		n.lastEst[k].X = n.backing[(deg+1+k)*n.width : (deg+2+k)*n.width]
-	}
-	n.idx[int32(neighbor)] = deg
-	n.live = append(n.live, int32(neighbor))
 }
 
 // AbsorbMass implements gossip.OpenMembership: fold a gracefully
 // departing neighbor's surplus into this node's own contribution.
 func (n *Node) AbsorbMass(v gossip.Value) {
 	n.init.AddInPlace(v)
-}
-
-func remove(list []int32, x int32) []int32 {
-	out := list[:0]
-	for _, v := range list {
-		if v != x {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func contains(list []int32, x int32) bool {
-	for _, v := range list {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func sameInt32s(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SetInput implements gossip.DynamicInput: live-monitoring input change.

@@ -1,25 +1,29 @@
 package flowupdate
 
 // Checkpoint support (gossip.Snapshotter): Flow Updating's mutable
-// state is the input value, the flat backing holding flows and
-// last-reported neighbor estimates, their per-value weights, the known
-// flags, and the live list. The live list must round-trip verbatim —
-// averagedInto iterates it in order, so the floating-point averaging
-// result depends on it. Scratch values are fully overwritten before
-// every use and are not saved.
+// state is the input value, the flow payloads, the last-reported
+// neighbor estimate payloads, the slot weights (flow and estimate per
+// edge), the known flags, and the live list. The payloads are written
+// as two strided walks over the edge store, flows and then estimates.
+// The live list must round-trip verbatim — averagedInto iterates it in
+// order, so the floating-point averaging result depends on it. Scratch
+// values are fully overwritten before every use and are not saved.
 
 import "pcfreduce/internal/gossip"
 
 // SaveState implements gossip.Snapshotter.
 func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutValue(n.init)
-	w.PutF64s(n.backing)
-	for k := range n.flowList {
-		w.PutF64(n.flowList[k].W)
-		w.PutF64(n.lastEst[k].W)
-		w.PutBool(n.known[k])
+	for j := 0; j < 2; j++ {
+		for k := range n.known {
+			w.PutF64s(n.e.Slot(2*k + j).X)
+		}
 	}
-	w.PutI32s(n.live)
+	w.PutF64s(n.e.Weights())
+	for _, b := range n.known {
+		w.PutBool(b)
+	}
+	n.e.SaveLive(w)
 }
 
 // LoadState implements gossip.Snapshotter. The node must have been
@@ -27,13 +31,14 @@ func (n *Node) SaveState(w *gossip.StateWriter) {
 // under; failures surface via the reader's sticky error.
 func (n *Node) LoadState(r *gossip.StateReader) {
 	r.Value(&n.init)
-	if xs := r.F64s(len(n.backing)); xs != nil {
-		copy(n.backing, xs)
+	for j := 0; j < 2; j++ {
+		for k := range n.known {
+			r.ReadF64s(n.e.Slot(2*k + j).X)
+		}
 	}
-	for k := range n.flowList {
-		n.flowList[k].W = r.F64()
-		n.lastEst[k].W = r.F64()
+	r.ReadF64s(n.e.Weights())
+	for k := range n.known {
 		n.known[k] = r.Bool()
 	}
-	n.live = append(n.live[:0], r.I32s()...)
+	n.e.LoadLive(r)
 }

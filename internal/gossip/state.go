@@ -129,6 +129,14 @@ func (r *StateReader) F64s(n int) []float64 {
 	return v
 }
 
+// ReadF64s copies the next len(dst) float64s into dst, leaving dst
+// untouched on underflow.
+func (r *StateReader) ReadF64s(dst []float64) {
+	if xs := r.F64s(len(dst)); xs != nil {
+		copy(dst, xs)
+	}
+}
+
 // U64 reads one uint64.
 func (r *StateReader) U64() uint64 {
 	if r.u >= len(r.s.U64) {

@@ -32,76 +32,30 @@ import (
 
 // Node is the push-flow state machine for a single node.
 //
-// Per-neighbor flow variables live in struct-of-arrays form, parallel
-// to the neighbor list: each flow's X vector is a view into one shared
-// backing array, so the hot local-mass computation (one pass over all
-// flows per send) streams through contiguous memory without hashing.
-// The map only translates sender ids to slice positions on the receive
-// path of high-degree nodes.
+// The flow variables and neighbor lists live in the shared edge store
+// (gossip.EdgeStore) with one slot per edge, edge k's flow in slot k,
+// and the input and scratch values are carved from the same float
+// block: the hot local-mass computation (one pass over all flows per
+// send) streams through contiguous memory, and a node's floats are one
+// allocation.
 type Node struct {
-	id        int
-	neighbors []int32
-	live      []int32
-	init      gossip.Value
-	flowList  []gossip.Value // flow variable per neighbor; X views into backing
-	backing   []float64      // flat flow payloads: deg·width floats
-	idx       map[int32]int  // neighbor id → position in neighbors/flowList
-	width     int
-	scratch   gossip.Value // reused by FillMessage/EstimateInto
+	id      int
+	e       gossip.EdgeStore
+	init    gossip.Value
+	scratch gossip.Value // reused by FillMessage/EstimateInto
 }
 
 // New returns an uninitialized push-flow node; callers must Reset it.
 func New() *Node { return &Node{} }
-
-// denseScanMax bounds the neighborhood size up to which indexOf uses a
-// linear scan of the neighbor list instead of the id map. For typical
-// gossip degrees the scan is faster than hashing; complete-like graphs
-// fall back to the map.
-const denseScanMax = 32
-
-// indexOf translates a neighbor id to its dense-slice position, or -1
-// when the id is not a neighbor.
-func (n *Node) indexOf(neighbor int) int {
-	t := int32(neighbor)
-	if len(n.neighbors) <= denseScanMax {
-		for k, j := range n.neighbors {
-			if j == t {
-				return k
-			}
-		}
-		return -1
-	}
-	if k, ok := n.idx[t]; ok {
-		return k
-	}
-	return -1
-}
 
 // Reset implements gossip.Protocol. A repeated Reset over the same
 // neighborhood and value width zeroes the existing flow variables in
 // place instead of reallocating them, so restarting a trial on a reused
 // engine does not allocate.
 func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
-	reuse := n.idx != nil && n.width == init.Width() && sameInt32s(n.neighbors, neighbors)
+	n.e.Reset(neighbors, init.Width(), 1, &n.init, &n.scratch)
 	n.id = node
-	n.neighbors = append(n.neighbors[:0], neighbors...)
-	n.live = append(n.live[:0], neighbors...)
 	n.init.Set(init)
-	n.width = init.Width()
-	if reuse {
-		for k := range n.flowList {
-			n.flowList[k].Zero()
-		}
-		return
-	}
-	deg := len(neighbors)
-	n.backing = make([]float64, deg*n.width)
-	n.flowList = make([]gossip.Value, deg)
-	n.idx = make(map[int32]int, deg)
-	for k, j := range neighbors {
-		n.flowList[k].X = n.backing[k*n.width : (k+1)*n.width]
-		n.idx[j] = k
-	}
 }
 
 // local returns the node's current mass vᵢ − Σ_j f(i,j).
@@ -115,9 +69,7 @@ func (n *Node) local() gossip.Value {
 // (beyond growing dst once to the value width).
 func (n *Node) localInto(dst *gossip.Value) {
 	dst.Set(n.init)
-	for k := range n.flowList {
-		dst.SubInPlace(n.flowList[k])
-	}
+	n.e.SubSlots(dst, 1)
 }
 
 // MakeMessage implements gossip.Protocol: virtual-send half the local
@@ -132,17 +84,16 @@ func (n *Node) MakeMessage(target int) gossip.Message {
 // of MakeMessage, performing the identical state transition and
 // producing bit-identical wire contents into a pooled message.
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
-	k := n.indexOf(target)
+	k := n.e.Edge(target)
 	if k < 0 {
 		panic("pushflow: send to non-neighbor")
 	}
-	f := &n.flowList[k]
 	n.localInto(&n.scratch)
 	n.scratch.HalfInPlace()
-	f.AddInPlace(n.scratch)
+	n.e.AddSlot(k, n.scratch)
 	msg.From, msg.To, msg.Kind = n.id, target, gossip.KindData
 	msg.C, msg.R = 0, 0
-	msg.Flow1.Set(*f)
+	msg.Flow1.Set(n.e.Slot(k))
 	msg.Flow2.X = msg.Flow2.X[:0]
 	msg.Flow2.W = 0
 }
@@ -150,11 +101,10 @@ func (n *Node) FillMessage(target int, msg *gossip.Message) {
 // Receive implements gossip.Protocol: overwrite the mirror flow with the
 // negation of the received one, f(i,j) ← −f(j,i).
 func (n *Node) Receive(msg gossip.Message) {
-	k := n.indexOf(msg.From)
-	if k < 0 || msg.Flow1.Width() != n.width {
+	k := n.e.Edge(msg.From)
+	if k < 0 || msg.Flow1.Width() != n.e.Width() {
 		return // unknown sender or malformed message
 	}
-	f := &n.flowList[k]
 	if !msg.Flow1.Finite() {
 		// Detectably corrupted payload (NaN/Inf, e.g. from an exponent
 		// bit flip): discard. A discarded message is equivalent to a
@@ -163,7 +113,7 @@ func (n *Node) Receive(msg gossip.Message) {
 		// both endpoints irrecoverably.
 		return
 	}
-	f.SetNeg(msg.Flow1)
+	n.e.NegSlot(k, msg.Flow1)
 }
 
 // Estimate implements gossip.Protocol.
@@ -183,10 +133,9 @@ func (n *Node) LocalValue() gossip.Value { return n.local() }
 // precisely the operation whose uncontrolled impact on the local estimate
 // causes PF's restart problem (Sec. II-C).
 func (n *Node) OnLinkFailure(neighbor int) {
-	if k := n.indexOf(neighbor); k >= 0 {
-		n.flowList[k].Zero()
+	if k := n.e.Fail(neighbor); k >= 0 {
+		n.e.ZeroEdge(k)
 	}
-	n.live = remove(n.live, int32(neighbor))
 }
 
 // OnLinkRecover implements gossip.Reintegrator: re-admit a neighbor
@@ -194,33 +143,26 @@ func (n *Node) OnLinkFailure(neighbor int) {
 // PF the peer's mirror was (or will be, once it reintegrates us) zeroed
 // too, and the first exchange overwrites both halves anyway, so the edge
 // resumes plain push-flow immediately.
-func (n *Node) OnLinkRecover(neighbor int) {
-	k := n.indexOf(neighbor)
-	if k < 0 || contains(n.live, int32(neighbor)) {
-		return
-	}
-	n.flowList[k].Zero()
-	n.live = append(n.live, int32(neighbor))
-}
+func (n *Node) OnLinkRecover(neighbor int) { n.e.Recover(neighbor) }
 
 // LiveNeighbors implements gossip.Protocol.
-func (n *Node) LiveNeighbors() []int32 { return n.live }
+func (n *Node) LiveNeighbors() []int32 { return n.e.Live() }
 
 // Flow implements gossip.Flows, exposing f(i,j) for tests and the bus
 // worked example (paper Fig. 2).
 func (n *Node) Flow(neighbor int) gossip.Value {
-	if k := n.indexOf(neighbor); k >= 0 {
-		return n.flowList[k].Clone()
+	if k := n.e.Edge(neighbor); k >= 0 {
+		return n.e.Slot(k).Clone()
 	}
-	return gossip.NewValue(n.width)
+	return gossip.NewValue(n.e.Width())
 }
 
 // FlowView implements gossip.FlowViewer: the non-cloning Flow used by
 // the metrics anti-symmetry probe. The view aliases the node's flow
 // backing and is valid only until its next state change.
 func (n *Node) FlowView(neighbor int) (gossip.Value, bool) {
-	if k := n.indexOf(neighbor); k >= 0 {
-		return n.flowList[k], true
+	if k := n.e.Edge(neighbor); k >= 0 {
+		return n.e.Slot(k), true
 	}
 	return gossip.Value{}, false
 }
@@ -230,64 +172,16 @@ func (n *Node) FlowView(neighbor int) (gossip.Value, bool) {
 func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
 
 // OnNeighborJoin implements gossip.OpenMembership: admit a brand-new
-// neighbor with a zero-flow edge (mass-neutral by construction). The
-// flow backing grows by one slot; all X views are rebuilt over the new
-// backing. An edge recreated onto a neighbor we already know reduces to
-// reintegration (zero-flow restart).
-func (n *Node) OnNeighborJoin(neighbor int) {
-	if n.indexOf(neighbor) >= 0 {
-		n.OnLinkRecover(neighbor)
-		return
-	}
-	deg := len(n.neighbors)
-	grown := make([]float64, (deg+1)*n.width)
-	copy(grown, n.backing)
-	n.backing = grown
-	n.neighbors = append(n.neighbors, int32(neighbor))
-	n.flowList = append(n.flowList, gossip.Value{})
-	for k := range n.flowList {
-		n.flowList[k].X = n.backing[k*n.width : (k+1)*n.width]
-	}
-	n.idx[int32(neighbor)] = deg
-	n.live = append(n.live, int32(neighbor))
-}
+// neighbor with a zero-flow edge (mass-neutral by construction). An edge
+// recreated onto a neighbor we already know reduces to reintegration
+// (zero-flow restart).
+func (n *Node) OnNeighborJoin(neighbor int) { n.e.Join(neighbor, &n.init, &n.scratch) }
 
 // AbsorbMass implements gossip.OpenMembership: fold a gracefully
 // departing neighbor's surplus into this node's own contribution. Flows
 // are untouched, so the local estimate rises by exactly v.
 func (n *Node) AbsorbMass(v gossip.Value) {
 	n.init.AddInPlace(v)
-}
-
-func remove(list []int32, x int32) []int32 {
-	out := list[:0]
-	for _, v := range list {
-		if v != x {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func contains(list []int32, x int32) bool {
-	for _, v := range list {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func sameInt32s(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SetInput implements gossip.DynamicInput: live-monitoring input change.

@@ -1,21 +1,18 @@
 package pushflow
 
 // Checkpoint support (gossip.Snapshotter): push-flow's mutable state is
-// the input value, the flat flow backing plus per-flow weights, and the
-// live list, serialized verbatim to preserve the engine's target-draw
-// indexing across a restore. Scratch is fully overwritten before every
-// use and is not saved.
+// the input value, the flow payloads and then the flow weights (one
+// bulk copy each), and the live list, serialized verbatim to preserve
+// the engine's target-draw indexing across a restore. Scratch is fully
+// overwritten before every use and is not saved.
 
 import "pcfreduce/internal/gossip"
 
 // SaveState implements gossip.Snapshotter.
 func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutValue(n.init)
-	w.PutF64s(n.backing)
-	for k := range n.flowList {
-		w.PutF64(n.flowList[k].W)
-	}
-	w.PutI32s(n.live)
+	n.e.SaveSlots(w)
+	n.e.SaveLive(w)
 }
 
 // LoadState implements gossip.Snapshotter. The node must have been
@@ -23,11 +20,6 @@ func (n *Node) SaveState(w *gossip.StateWriter) {
 // under; failures surface via the reader's sticky error.
 func (n *Node) LoadState(r *gossip.StateReader) {
 	r.Value(&n.init)
-	if xs := r.F64s(len(n.backing)); xs != nil {
-		copy(n.backing, xs)
-	}
-	for k := range n.flowList {
-		n.flowList[k].W = r.F64()
-	}
-	n.live = append(n.live[:0], r.I32s()...)
+	n.e.LoadSlots(r)
+	n.e.LoadLive(r)
 }

@@ -18,11 +18,13 @@ import (
 	"pcfreduce/internal/gossip"
 )
 
-// Node is the push-sum state machine for a single node.
+// Node is the push-sum state machine for a single node. Push-sum keeps
+// no per-edge state, so its edge store (gossip.EdgeStore) has no slots
+// and holds only the neighbor and live lists; mass and lastInput are
+// carved from its float block.
 type Node struct {
 	id        int
-	neighbors []int32
-	live      []int32
+	e         gossip.EdgeStore
 	mass      gossip.Value
 	lastInput gossip.Value // for SetInput deltas (live monitoring)
 }
@@ -35,9 +37,8 @@ func New() *Node { return &Node{} }
 // buffers, so restarting a trial on a pooled protocol instance does not
 // allocate.
 func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
+	n.e.Reset(neighbors, init.Width(), 0, &n.mass, &n.lastInput)
 	n.id = node
-	n.neighbors = append(n.neighbors[:0], neighbors...)
-	n.live = append(n.live[:0], neighbors...)
 	n.mass.Set(init)
 	n.lastInput.Set(init)
 }
@@ -93,7 +94,7 @@ func (n *Node) LocalValueInto(dst *gossip.Value) { dst.Set(n.mass) }
 // flight on the link is irrecoverably lost — the fragility the flow
 // algorithms fix.
 func (n *Node) OnLinkFailure(neighbor int) {
-	n.live = remove(n.live, int32(neighbor))
+	n.e.Fail(neighbor)
 }
 
 // OnLinkRecover implements gossip.Reintegrator: resume using the link.
@@ -101,47 +102,18 @@ func (n *Node) OnLinkFailure(neighbor int) {
 // mass lost to messages dropped during the outage stays lost (the same
 // fragility OnLinkFailure documents).
 func (n *Node) OnLinkRecover(neighbor int) {
-	t := int32(neighbor)
-	for _, v := range n.neighbors {
-		if v == t {
-			for _, l := range n.live {
-				if l == t {
-					return
-				}
-			}
-			n.live = append(n.live, t)
-			return
-		}
-	}
+	n.e.Recover(neighbor)
 }
 
 // LiveNeighbors implements gossip.Protocol.
-func (n *Node) LiveNeighbors() []int32 { return n.live }
-
-func remove(list []int32, x int32) []int32 {
-	out := list[:0]
-	for _, v := range list {
-		if v != x {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+func (n *Node) LiveNeighbors() []int32 { return n.e.Live() }
 
 // OnNeighborJoin implements gossip.OpenMembership. Push-sum keeps no
 // per-edge state, so admitting a brand-new neighbor is pure membership;
 // an edge recreated onto a previously failed neighbor reduces to
 // reintegration.
 func (n *Node) OnNeighborJoin(neighbor int) {
-	t := int32(neighbor)
-	for _, v := range n.neighbors {
-		if v == t {
-			n.OnLinkRecover(neighbor)
-			return
-		}
-	}
-	n.neighbors = append(n.neighbors, t)
-	n.live = append(n.live, t)
+	n.e.Join(neighbor, &n.mass, &n.lastInput)
 }
 
 // AbsorbMass implements gossip.OpenMembership: fold a gracefully

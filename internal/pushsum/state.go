@@ -10,7 +10,7 @@ import "pcfreduce/internal/gossip"
 func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutValue(n.mass)
 	w.PutValue(n.lastInput)
-	w.PutI32s(n.live)
+	n.e.SaveLive(w)
 }
 
 // LoadState implements gossip.Snapshotter. The node must have been
@@ -19,5 +19,5 @@ func (n *Node) SaveState(w *gossip.StateWriter) {
 func (n *Node) LoadState(r *gossip.StateReader) {
 	r.Value(&n.mass)
 	r.Value(&n.lastInput)
-	n.live = append(n.live[:0], r.I32s()...)
+	n.e.LoadLive(r)
 }

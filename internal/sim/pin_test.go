@@ -19,6 +19,7 @@ import (
 	"pcfreduce/internal/gossip"
 	"pcfreduce/internal/metrics"
 	"pcfreduce/internal/pushflow"
+	"pcfreduce/internal/pushsum"
 	"pcfreduce/internal/sim"
 	"pcfreduce/internal/topology"
 )
@@ -42,10 +43,12 @@ type roundPin struct {
 }
 
 // pinScenario is one seeded run: an interceptor or detector plus the
-// shared fault and churn schedule, ended by a Drain.
+// shared fault and churn schedule, ended by a Drain. A dense scenario
+// runs on complete(40) under densePinPlan instead of randreg(32,3).
 type pinScenario struct {
 	name   string
 	detect bool
+	dense  bool
 	ic     func() sim.Interceptor
 }
 
@@ -53,6 +56,7 @@ var pinScenarios = []pinScenario{
 	{name: "detector-outage", detect: true},
 	{name: "duplicate", ic: func() sim.Interceptor { return fault.NewDuplicate(0.2, 3) }},
 	{name: "reorder", ic: func() sim.Interceptor { return fault.NewReorder(0.2, 5) }},
+	{name: "dense-detector-churn", detect: true, dense: true},
 }
 
 var pinProtocols = []struct {
@@ -62,6 +66,8 @@ var pinProtocols = []struct {
 	{"pf", func() gossip.Protocol { return pushflow.New() }},
 	{"pcf-robust", func() gossip.Protocol { return core.NewRobust() }},
 	{"fu", func() gossip.Protocol { return flowupdate.New() }},
+	{"pcf-efficient", func() gossip.Protocol { return core.NewEfficient() }},
+	{"push-sum", func() gossip.Protocol { return pushsum.New() }},
 }
 
 // pinPlan is the schedule every scenario shares on randreg(32,3) with
@@ -84,9 +90,36 @@ func pinPlan(detector bool) *fault.Plan {
 	return p
 }
 
+// densePinPlan is the schedule of the dense scenario on complete(40),
+// where every node has more than 32 neighbours and so looks its edges
+// up through the id map: node 40 joins wired to nodes 0–32 (33
+// neighbours), a silent outage of link 1–2 heals, edge 35–36 is
+// rewired to 35–40 and then recreated, node 38 leaves, link 5–9 fails
+// and node 29 crashes.
+func densePinPlan() *fault.Plan {
+	peers := make([]int, 33)
+	for i := range peers {
+		peers[i] = i
+	}
+	p := fault.NewPlan(
+		fault.NodeJoin(10, 40, 2.5, peers...),
+		fault.EdgeRewire(30, 35, 36, 40),
+		fault.EdgeRewire(40, 35, 40, 36),
+		fault.NodeLeave(50, 38),
+		fault.LinkFailure(60, 5, 9),
+		fault.NodeCrash(70, 29),
+	)
+	p.Add(fault.LinkOutage(15, 45, 1, 2)...)
+	return p
+}
+
 func runPinScenario(t *testing.T, sc pinScenario, mk func() gossip.Protocol, sharded bool) roundPin {
 	t.Helper()
 	g := topology.RandomRegular(32, 3, 1)
+	plan := pinPlan(sc.detect)
+	if sc.dense {
+		g, plan = topology.Complete(40), densePinPlan()
+	}
 	n := g.N()
 	protos := make([]gossip.Protocol, n)
 	inputs := make([]float64, n)
@@ -97,7 +130,7 @@ func runPinScenario(t *testing.T, sc pinScenario, mk func() gossip.Protocol, sha
 	opts := []sim.EngineOption{sim.WithJoinFactory(mk)}
 	if sharded {
 		pt := topology.CacheAware(g, 2)
-		if pt.Stats.Strategy != "bfs" {
+		if !sc.dense && pt.Stats.Strategy != "bfs" {
 			t.Fatalf("cache-aware layout fell back to %s", pt.Stats.Strategy)
 		}
 		opts = append(opts, sim.WithPartition(pt))
@@ -114,7 +147,6 @@ func runPinScenario(t *testing.T, sc pinScenario, mk func() gossip.Protocol, sha
 		ic = sc.ic()
 		e.SetInterceptor(ic)
 	}
-	plan := pinPlan(sc.detect)
 	for r := 0; r < 120; r++ {
 		plan.OnRound(e, e.Round())
 		e.Step()
@@ -168,10 +200,11 @@ func stateDigest(st gossip.State) string {
 // TestRoundModelsPinned pins both round models — the sequential engine
 // and a two-shard cache-aware engine — across refactors of the shared
 // executor: detector keepalives and probes over a silent outage, bare
-// Replicator and Injector interceptors, joins, leaves, flushed link
-// failures, notified crashes and the final Drain, for PF, robust PCF
-// and FU. Run with -update-pin only when the engine's results are meant
-// to change.
+// Replicator and Injector interceptors, joins, leaves, rewires, flushed
+// link failures, notified crashes and the final Drain, for PF, both PCF
+// variants, FU and push-sum, on a sparse graph and on a dense one whose
+// edge lookups go through the id map. Run with -update-pin only when
+// the engine's results are meant to change.
 func TestRoundModelsPinned(t *testing.T) {
 	got := map[string]roundPin{}
 	for _, sc := range pinScenarios {
