@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -64,8 +65,10 @@ func restoreEdited(t *testing.T, snap *sim.Snapshot, mk func() gossip.Protocol, 
 // node 0's live list naming a non-neighbour, a neighbour twice, or the
 // neighbour whose failed edge still holds its frozen snapshot, and an
 // active-slot byte of 2 on each of node 0's edges or in its frozen
-// snapshot. Restore must refuse every one (accepting them crashed or
-// silently corrupted the next Run), and accept the unedited file.
+// snapshot. Restore must refuse every one as gossip.ErrStateInvalid
+// (accepting them crashed or silently corrupted the next Run), refuse
+// a truncated stream as gossip.ErrStateUnderflow, and accept the
+// unedited file.
 func TestRestoreRejectsImpossibleProtocolState(t *testing.T) {
 	raw, err := os.ReadFile(pinPath)
 	if err != nil {
@@ -105,8 +108,17 @@ func TestRestoreRejectsImpossibleProtocolState(t *testing.T) {
 		t.Fatalf("unedited checkpoint: %v", err)
 	}
 	for _, tc := range cases {
-		if err := restoreEdited(t, ck.Snap, robust, tc.edit); err == nil {
-			t.Errorf("%s: Restore accepted it", tc.name)
+		if err := restoreEdited(t, ck.Snap, robust, tc.edit); !errors.Is(err, gossip.ErrStateInvalid) {
+			t.Errorf("%s: Restore returned %v, want gossip.ErrStateInvalid", tc.name, err)
+		}
+	}
+	for _, tc := range []stateEdit{
+		{"float stream cut", func(st *gossip.State) { st.F64 = st.F64[:len(st.F64)/2] }},
+		{"int32 stream cut at node 0's live list", func(st *gossip.State) { st.I32 = st.I32[:live+1] }},
+		{"byte stream cut", func(st *gossip.State) { st.B = st.B[:cAt+3] }},
+	} {
+		if err := restoreEdited(t, ck.Snap, robust, tc.edit); !errors.Is(err, gossip.ErrStateUnderflow) {
+			t.Errorf("%s: Restore returned %v, want gossip.ErrStateUnderflow", tc.name, err)
 		}
 	}
 }
@@ -133,8 +145,8 @@ func TestRestoreRejectsForeignLiveListFlowProtocols(t *testing.T) {
 		if err := restoreEdited(t, snap, pc.mk, func(*gossip.State) {}); err != nil {
 			t.Fatalf("%s: unedited checkpoint: %v", pc.name, err)
 		}
-		if err := restoreEdited(t, snap, pc.mk, func(st *gossip.State) { st.I32[live] = 9 }); err == nil {
-			t.Errorf("%s: Restore accepted a non-neighbour on node 0's live list", pc.name)
+		if err := restoreEdited(t, snap, pc.mk, func(st *gossip.State) { st.I32[live] = 9 }); !errors.Is(err, gossip.ErrStateInvalid) {
+			t.Errorf("%s: non-neighbour on node 0's live list: Restore returned %v, want gossip.ErrStateInvalid", pc.name, err)
 		}
 	}
 }

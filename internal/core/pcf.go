@@ -454,17 +454,10 @@ func (n *Node) Slots(neighbor int) (f [2]gossip.Value, ok bool) {
 	return [2]gossip.Value{n.e.Slot(2 * k).Clone(), n.e.Slot(2*k + 1).Clone()}, true
 }
 
-// SlotViews implements gossip.SlotsViewer: the non-cloning form of
-// Slots for the metrics anti-symmetry probe. The returned views alias
-// the node's slot payloads and are valid only until its next state
-// change.
-func (n *Node) SlotViews(neighbor int) (f [2]gossip.Value, ok bool) {
-	k := n.e.Edge(neighbor)
-	if k < 0 {
-		return f, false
-	}
-	return [2]gossip.Value{n.e.Slot(2 * k), n.e.Slot(2*k + 1)}, true
-}
+// EdgeView implements gossip.EdgeViewer for the metrics anti-symmetry
+// probe: both slots of every edge are flows, and a slot that is zero on
+// either side (cancelled, or not yet staged) is exempt.
+func (n *Node) EdgeView() (*gossip.EdgeStore, int, bool) { return &n.e, 2, true }
 
 // LocalValueInto implements gossip.MassReader: LocalValue without the
 // allocation.

@@ -41,9 +41,9 @@ func (n *Node) SaveState(w *gossip.StateWriter) {
 // LoadState implements gossip.Snapshotter. The node must have been
 // Reset with the same (id, neighbors, width) the snapshot was taken
 // under; failures surface via the reader's sticky error. State no run
-// can produce latches that error too: an active slot other than 0 or 1
-// (which would address another edge's slots) and a live neighbor whose
-// edge holds a frozen eviction snapshot (OnLinkRecover clears it).
+// can produce latches gossip.ErrStateInvalid: an active slot other than
+// 0 or 1 (which would address another edge's slots) and a live neighbor
+// whose edge holds a frozen eviction snapshot (OnLinkRecover clears it).
 func (n *Node) LoadState(r *gossip.StateReader) {
 	r.Value(&n.init)
 	r.Value(&n.phi)
@@ -52,7 +52,7 @@ func (n *Node) LoadState(r *gossip.StateReader) {
 		n.c[k] = r.Byte()
 		n.r[k] = r.U64()
 		if n.c[k] > 1 {
-			r.Fail()
+			r.Invalid()
 		}
 	}
 	n.saved = nil
@@ -66,7 +66,7 @@ func (n *Node) LoadState(r *gossip.StateReader) {
 		s.c = r.Byte()
 		s.r = r.U64()
 		if s.c > 1 {
-			r.Fail()
+			r.Invalid()
 		}
 		if n.saved == nil {
 			n.saved = make([]*edgeSnapshot, len(n.c))
@@ -76,7 +76,7 @@ func (n *Node) LoadState(r *gossip.StateReader) {
 	n.e.LoadLive(r)
 	for k := range n.saved {
 		if n.saved[k] != nil && n.e.IsLive(k) {
-			r.Fail()
+			r.Invalid()
 		}
 	}
 }

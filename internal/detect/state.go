@@ -40,19 +40,27 @@ func (d *Detector) SaveState(w *gossip.StateWriter) {
 }
 
 // LoadState reads state written by SaveState back into d, which must
-// monitor the same neighbor set. Failures (truncated streams, unknown
-// neighbor ids) surface via the reader's sticky error.
+// monitor the same neighbor set. Failures surface via the reader's
+// sticky error: a truncated stream as gossip.ErrStateUnderflow, a
+// neighbor count or id this detector does not monitor as
+// gossip.ErrStateInvalid.
 func (d *Detector) LoadState(r *gossip.StateReader) {
 	count := int(r.U64())
-	if r.Err() != nil || count != len(d.nbrs) {
-		r.Fail()
+	if r.Err() != nil {
+		return
+	}
+	if count != len(d.nbrs) {
+		r.Invalid()
 		return
 	}
 	for range count {
 		j := int(r.I32())
+		if r.Err() != nil {
+			return
+		}
 		ns, ok := d.nbrs[j]
 		if !ok {
-			r.Fail()
+			r.Invalid()
 			return
 		}
 		ns.suspected = r.Bool()

@@ -125,6 +125,46 @@ func (s *EdgeStore) Edge(neighbor int) int {
 	return -1
 }
 
+// Neighbor returns edge k's neighbor id.
+func (s *EdgeStore) Neighbor(k int) int { return int(s.nbr[k]) }
+
+// AntiSymViolations counts the first flows slots of edge k that are not
+// the bitwise negation (Value.EqualNeg) of the same slots of edge kt in
+// t, the neighbor's store, which must have the same width. With
+// zeroExempt a slot that is zero (Value.IsZero) on either side never
+// counts. Whether a slot mirrors its peer follows the protocol's
+// exchanges, not a pattern a branch predictor can learn, so the tests
+// are combined arithmetically instead of branched on.
+func (s *EdgeStore) AntiSymViolations(k int, t *EdgeStore, kt, flows int, zeroExempt bool) int {
+	w := s.width
+	if t.width != w {
+		panic("gossip: anti-symmetry check across stores of different widths")
+	}
+	count, exempt := 0, b2i(zeroExempt)
+	for f := 0; f < flows; f++ {
+		a, b := k*s.slots+f, kt*t.slots+f
+		xa, xb := s.x[a*w:(a+1)*w], t.x[b*w:(b+1)*w]
+		wa, wb := s.w[a], t.w[b]
+		mirror, za, zb := b2i(wa == -wb), b2i(wa == 0), b2i(wb == 0)
+		for c, x := range xa {
+			y := xb[c]
+			mirror &= b2i(x == -y)
+			za &= b2i(x == 0)
+			zb &= b2i(y == 0)
+		}
+		count += (1 - mirror) & (1 - (za|zb)&exempt)
+	}
+	return count
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Width returns the slot payload width.
 func (s *EdgeStore) Width() int { return s.width }
 
@@ -274,18 +314,18 @@ func (s *EdgeStore) SaveLive(w *StateWriter) { w.PutI32s(s.live) }
 
 // LoadLive reads a live list written by SaveLive. A list longer than
 // the degree, or holding an id that is not a neighbor or appears twice,
-// cannot have been written by this neighborhood and latches the
-// reader's error.
+// cannot have been written by this neighborhood and latches
+// ErrStateInvalid.
 func (s *EdgeStore) LoadLive(r *StateReader) {
 	ids := r.I32s()
 	s.live = s.live[:0]
 	if len(ids) > len(s.nbr) {
-		r.Fail()
+		r.Invalid()
 		return
 	}
 	for _, id := range ids {
 		if s.Edge(int(id)) < 0 || slices.Contains(s.live, id) {
-			r.Fail()
+			r.Invalid()
 			return
 		}
 		s.live = append(s.live, id)

@@ -149,3 +149,55 @@ func TestEdgeStoreLoadLiveRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeStoreAntiSymViolationsMatchesValues checks the flat-block
+// anti-symmetry test against the Value algebra it replaces, at width 3
+// on every combination of slot contents that decides it: exact mirror,
+// a mismatch in the weight or in one component, a zero side, a
+// negative-zero mirror, both sides zero. For each of the first flows
+// slot pairs it must count exactly when !a.EqualNeg(b), and with
+// zeroExempt also neither side IsZero.
+func TestEdgeStoreAntiSymViolationsMatchesValues(t *testing.T) {
+	a := Vector([]float64{0.5, -2, 3}, 1.25)
+	cases := []struct {
+		name string
+		x, y Value
+	}{
+		{"mirror", a, a.Neg()},
+		{"weight differs", a, Vector([]float64{-0.5, 2, -3}, -1)},
+		{"component differs", a, Vector([]float64{-0.5, 2.5, -3}, -1.25)},
+		{"zero side", a, NewValue(3)},
+		{"negative zero mirror", Vector([]float64{0, 1, 0}, 0), Vector([]float64{math.Copysign(0, -1), -1, 0}, 0)},
+		{"both zero", NewValue(3), NewValue(3)},
+		{"weight-only zero", Vector([]float64{1, 0, 0}, 0), Vector([]float64{1, 0, 0}, 0)},
+	}
+	for _, slots := range []int{1, 2} {
+		s, u := &EdgeStore{}, &EdgeStore{}
+		s.Reset([]int32{1, 2}, 3, slots)
+		u.Reset([]int32{0, 2}, 3, slots)
+		for _, c1 := range cases {
+			for _, c2 := range cases {
+				// Edge 1 of s is node 0's edge to 1; edge 0 of u is node 1's
+				// edge to 0. Slot f of each carries case f's pair.
+				pair := []struct{ x, y Value }{{c1.x, c1.y}, {c2.x, c2.y}}[:slots]
+				for f, p := range pair {
+					s.SetSlot(slots+f, p.x)
+					u.SetSlot(f, p.y)
+				}
+				for flows := 1; flows <= slots; flows++ {
+					for _, exempt := range []bool{false, true} {
+						want := 0
+						for _, p := range pair[:flows] {
+							if !p.x.EqualNeg(p.y) && !(exempt && (p.x.IsZero() || p.y.IsZero())) {
+								want++
+							}
+						}
+						if got := s.AntiSymViolations(1, u, 0, flows, exempt); got != want {
+							t.Errorf("slots=%d flows=%d %s/%s exempt=%v: %d violations, want %d", slots, flows, c1.name, c2.name, exempt, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -190,21 +190,15 @@ type MassReader interface {
 	LocalValueInto(dst *Value)
 }
 
-// FlowViewer is an optional Flows refinement for allocation-free
-// probes: FlowView returns a read-only view of the node's current flow
-// toward the neighbor — the returned Value aliases internal state and
-// is valid only until the protocol's next state change — and reports
-// whether the neighbor is tracked at all. Single-flow protocols (PF,
-// FU) implement it; PCF exposes SlotsViewer instead because its
-// per-edge state is a slot pair.
-type FlowViewer interface {
-	FlowView(neighbor int) (Value, bool)
-}
-
-// SlotsViewer is the PCF counterpart of FlowViewer: a read-only,
-// non-cloning view of the two cancellation slots for the given
-// neighbor. The anti-symmetry invariant holds per slot, with a
-// cancelled (zero) side exempt — see the property tests.
-type SlotsViewer interface {
-	SlotViews(neighbor int) (f [2]Value, ok bool)
+// EdgeViewer is an optional Protocol extension for allocation-free
+// probes of the per-edge flow state: EdgeView returns the node's edge
+// store (read-only; valid until the protocol's next state change), how
+// many leading slots of each edge hold flows, and whether a slot that
+// is zero on either side of an edge is exempt from the anti-symmetry
+// invariant. PCF reports its two cancellation slots with the zero side
+// exempt (a cancelled or not yet staged slot is legitimately empty);
+// PF and FU report slot 0, their one flow, with no exemption — their
+// exchange overwrites the mirror in one step.
+type EdgeViewer interface {
+	EdgeView() (s *EdgeStore, flows int, zeroExempt bool)
 }

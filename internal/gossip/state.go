@@ -73,10 +73,17 @@ func (w *StateWriter) PutValue(v Value) {
 // snapshot.
 var ErrStateUnderflow = errors.New("gossip: snapshot state underflow")
 
+// ErrStateInvalid is reported by StateReader when a loader reads a
+// well-formed stream holding state no run can produce — a live list
+// naming a non-neighbor, an active slot that addresses another edge —
+// as opposed to a stream that ends early (ErrStateUnderflow).
+var ErrStateInvalid = errors.New("gossip: invalid protocol state")
+
 // StateReader consumes a State in the order it was written. Reads past
 // the end of a stream return zero values and latch a sticky error;
 // callers perform their whole read sequence and check Err once at the
-// end, mirroring bufio.Scanner-style error handling.
+// end, mirroring bufio.Scanner-style error handling. The first error
+// latched is the one Err reports.
 type StateReader struct {
 	s          State
 	f, u, i, b int
@@ -87,13 +94,23 @@ type StateReader struct {
 // caller must not mutate it while reading).
 func NewStateReader(s State) *StateReader { return &StateReader{s: s} }
 
-func (r *StateReader) fail() { r.err = ErrStateUnderflow }
+func (r *StateReader) fail() { r.latch(ErrStateUnderflow) }
+
+func (r *StateReader) latch(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
 
 // Fail latches the underflow error from outside the package, for
-// restore code that detects a structural mismatch (e.g. a neighbor
-// count that disagrees with the snapshot) the stream reads themselves
-// cannot catch.
+// restore code that detects a structural mismatch (e.g. a payload width
+// that disagrees with the engine's) the stream reads themselves cannot
+// catch.
 func (r *StateReader) Fail() { r.fail() }
+
+// Invalid latches ErrStateInvalid, for loaders that reject state no run
+// can produce.
+func (r *StateReader) Invalid() { r.latch(ErrStateInvalid) }
 
 // Err returns the sticky error (nil if every read so far was in
 // bounds).

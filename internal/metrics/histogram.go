@@ -6,12 +6,13 @@ import (
 )
 
 // Phase names one timed section of the engine's round loop. The sharded
-// executor records phases 1:1 with its code structure: the three
-// parallel fan-outs (activate, deliver, errors) are timed per shard by
-// whichever worker ran the shard, the serial sections (merge, flush) by
-// the caller, and each fan-out's barrier wait and wall-clock by the
-// caller into shard slot 0. PhaseSample is the runtime monitor's probe
-// cost, recorded outside the simulator entirely.
+// executor records phases 1:1 with its code structure: the parallel
+// fan-outs (activate, deliver, errors — Observe's probe counts as
+// errors) are timed per shard by whichever worker ran the shard, the
+// serial sections (merge, flush) by the caller, and each fan-out's
+// barrier wait and wall-clock by the caller into shard slot 0.
+// PhaseSample is the runtime monitor's probe cost, recorded outside the
+// simulator entirely.
 type Phase int
 
 const (
@@ -21,7 +22,8 @@ const (
 	// PhaseDeliver is one shard's phase-2 work: merge the per-source
 	// buckets destined to it (in ascending source order) into its inbox.
 	PhaseDeliver
-	// PhaseErrors is one shard's slice of an oracle error probe.
+	// PhaseErrors is one shard's slice of an oracle error scan or of an
+	// invariant probe (Observe).
 	PhaseErrors
 	// PhaseMerge is the serial interception pass that follows delivery
 	// on rounds with an interceptor installed (recorded into shard slot

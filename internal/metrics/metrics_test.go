@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"pcfreduce/internal/stats"
 )
 
 // TestNilRecorderNoOps: every entry point must be a safe no-op on a nil
@@ -40,6 +42,63 @@ func TestNilRecorderNoOps(t *testing.T) {
 	}
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestErrQuantilesExact: the recorder's quantiles are the exact
+// quantiles of the non-NaN errors (dead nodes report NaN) — stats.Quantile
+// of what remains, bitwise — for tiny and all-NaN inputs, ties and random
+// inputs; they leave errs untouched and allocate nothing once the
+// recorder's copy has grown.
+func TestErrQuantilesExact(t *testing.T) {
+	nan := math.NaN()
+	rng := rand.New(rand.NewSource(5))
+	random := make([]float64, 1000)
+	for i := range random {
+		random[i] = rng.ExpFloat64()
+		if i%97 == 0 {
+			random[i] = nan
+		}
+	}
+	r := New(Config{})
+	for _, errs := range [][]float64{
+		nil,
+		{},
+		{0.25},
+		{0.5, 0.125},
+		{nan},
+		{nan, nan, nan},
+		{nan, 3, nan},
+		{2, 2, 2, 2},
+		{1, 3, 3, 3, 0, 3, 1},
+		{0, 0, 1e-3, 0, 0, nan, 0},
+		random,
+	} {
+		var finite []float64
+		for _, e := range errs {
+			if !math.IsNaN(e) {
+				finite = append(finite, e)
+			}
+		}
+		before := append([]float64(nil), errs...)
+		p50, p90, p99 := r.ErrQuantiles(errs)
+		for _, c := range []struct {
+			q   float64
+			got float64
+		}{{0.5, p50}, {0.9, p90}, {0.99, p99}} {
+			want := stats.Quantile(finite, c.q)
+			if math.Float64bits(c.got) != math.Float64bits(want) && !(math.IsNaN(c.got) && math.IsNaN(want)) {
+				t.Errorf("%d errors: q=%g got %v, want %v", len(errs), c.q, c.got, want)
+			}
+		}
+		for i := range errs {
+			if math.Float64bits(errs[i]) != math.Float64bits(before[i]) {
+				t.Fatalf("%d errors: ErrQuantiles modified its input", len(errs))
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { r.ErrQuantiles(random) }); a != 0 {
+		t.Errorf("ErrQuantiles: %v allocs/op, want 0", a)
 	}
 }
 

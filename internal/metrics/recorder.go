@@ -48,8 +48,8 @@ type Sample struct {
 	TimeS Float `json:"t,omitempty"`
 	// MaxErr is the oracle maximum relative local error.
 	MaxErr Float `json:"max_err"`
-	// P50, P90, P99 are streaming P² estimates of the per-node error
-	// quantiles.
+	// P50, P90, P99 are the exact per-node error quantiles over the
+	// non-NaN errors (stats.QuantileSorted's interpolation).
 	P50 Float `json:"p50_err"`
 	P90 Float `json:"p90_err"`
 	P99 Float `json:"p99_err"`
@@ -127,7 +127,7 @@ type Recorder struct {
 	lastRound int
 	epoch     int
 
-	p50, p90, p99 stats.P2
+	qbuf []float64 // ErrQuantiles scratch: the non-NaN errors, reordered in place
 }
 
 // New builds a Recorder; zero-valued Config fields take defaults.
@@ -243,23 +243,32 @@ func (r *Recorder) Counters() Snapshot {
 	return s
 }
 
-// ErrQuantiles streams the per-node error slice through the three
-// reusable P² estimators and returns the (p50, p90, p99) estimates.
-// Single-threaded: call from the probing goroutine only.
+// ErrQuantiles returns the exact (p50, p90, p99) of the non-NaN entries
+// of errs (dead nodes report none) under stats.QuantileSorted's
+// interpolation, all NaN when there are none. It selects over a
+// recorder-owned copy, leaving errs as it is and allocating nothing
+// once the copy has grown to the node count. The quantiles of a
+// multiset do not depend on the order of errs, so they are the same for
+// every shard layout. Single-threaded: call from the probing goroutine
+// only.
 func (r *Recorder) ErrQuantiles(errs []float64) (p50, p90, p99 float64) {
 	if r == nil {
 		return math.NaN(), math.NaN(), math.NaN()
 	}
-	r.p50.Reset(0.5)
-	r.p90.Reset(0.9)
-	r.p99.Reset(0.99)
+	buf := r.qbuf[:0]
 	for _, e := range errs {
-		r.p50.Add(e)
-		r.p90.Add(e)
-		r.p99.Add(e)
+		if !math.IsNaN(e) {
+			buf = append(buf, e)
+		}
 	}
-	return r.p50.Value(), r.p90.Value(), r.p99.Value()
+	r.qbuf = buf
+	var q [3]float64
+	stats.SelectQuantiles(buf, errQuantiles[:], q[:])
+	return q[0], q[1], q[2]
 }
+
+// errQuantiles are the quantiles a Sample reports, ascending.
+var errQuantiles = [3]float64{0.5, 0.9, 0.99}
 
 // RecordSample appends one probe to the history and emits
 // EvEpochCrossed events for every convergence threshold the sampled max

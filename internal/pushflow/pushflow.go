@@ -157,15 +157,9 @@ func (n *Node) Flow(neighbor int) gossip.Value {
 	return gossip.NewValue(n.e.Width())
 }
 
-// FlowView implements gossip.FlowViewer: the non-cloning Flow used by
-// the metrics anti-symmetry probe. The view aliases the node's flow
-// backing and is valid only until its next state change.
-func (n *Node) FlowView(neighbor int) (gossip.Value, bool) {
-	if k := n.e.Edge(neighbor); k >= 0 {
-		return n.e.Slot(k), true
-	}
-	return gossip.Value{}, false
-}
+// EdgeView implements gossip.EdgeViewer for the metrics anti-symmetry
+// probe: each edge's one slot is its flow, with no exemption.
+func (n *Node) EdgeView() (*gossip.EdgeStore, int, bool) { return &n.e, 1, false }
 
 // LocalValueInto implements gossip.MassReader: LocalValue without the
 // allocation.

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"testing"
+	"time"
 
 	"pcfreduce/internal/core"
 	"pcfreduce/internal/gossip"
@@ -174,4 +175,45 @@ func BenchmarkObservePCFHypercube1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Observe()
 	}
+}
+
+// BenchmarkObservePCFTorus4kShards2 sets one Observe against one
+// Step+Errors round on the link-failure recovery workload's engine:
+// PCF on torus3d(16³), n = 4096, two cache-aware shards, a recorder
+// attached. Each op is one round followed by one Observe, timed apart,
+// so host drift moves both alike; observe/round is their ratio — 0.1 is
+// observation cheap enough to leave on every round.
+func BenchmarkObservePCFTorus4kShards2(b *testing.B) {
+	g := topology.Torus3D(16, 16, 16)
+	n := g.N()
+	protos := make([]gossip.Protocol, n)
+	for i := range protos {
+		protos[i] = core.NewEfficient()
+	}
+	inputs := make([]float64, n)
+	for i := range inputs {
+		inputs[i] = float64(i%97) + 0.5
+	}
+	e := sim.NewScalar(g, protos, inputs, gossip.Average, 1, sim.WithPartition(topology.CacheAware(g, 2)))
+	defer e.Close()
+	e.SetMetrics(metrics.New(metrics.Config{Shards: 2, Interval: 1 << 30, EventCapacity: 8}))
+	for r := 0; r < 96; r++ {
+		e.Step()
+		e.Errors()
+	}
+	e.Observe()
+	var round, observe time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		e.Step()
+		e.Errors()
+		t1 := time.Now()
+		e.Observe()
+		round += t1.Sub(t0)
+		observe += time.Since(t1)
+	}
+	b.ReportMetric(float64(observe.Microseconds())/float64(b.N), "observe-µs")
+	b.ReportMetric(float64(observe)/float64(round), "observe/round")
 }

@@ -200,18 +200,17 @@ func (e *Engine) LeaveNode(i int) {
 	}
 	for _, j32 := range row {
 		j := int(j32)
-		if !e.dead[linkKey(i, j)] {
+		if !e.dead.has(i, j) {
 			e.flushLink(i, j)
 		}
 	}
 	for _, j32 := range row {
 		j := int(j32)
-		key := linkKey(i, j)
-		if !e.dead[key] {
+		if !e.dead.has(i, j) {
 			e.teardownPair(i, j)
 		}
-		delete(e.dead, key)
-		delete(e.silenced, key)
+		e.dead.remove(i, j)
+		e.silenced.remove(i, j)
 		e.dropLossLink(i, j)
 		o.RemoveEdge(i, j)
 	}
@@ -258,13 +257,12 @@ func (e *Engine) RewireEdge(a, b, c int) {
 	e.ensureLayout(a)
 	e.ensureLayout(b)
 	e.ensureLayout(c)
-	key := linkKey(a, b)
-	if !e.dead[key] {
+	if !e.dead.has(a, b) {
 		e.flushLink(a, b)
 		e.teardownPair(a, b)
 	}
-	delete(e.dead, key)
-	delete(e.silenced, key)
+	e.dead.remove(a, b)
+	e.silenced.remove(a, b)
 	e.dropLossLink(a, b)
 	o.RemoveEdge(a, b)
 	o.AddEdge(a, c)

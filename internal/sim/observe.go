@@ -6,6 +6,15 @@ package sim
 // check — and an attached recorder adds per-shard counter banks plus
 // invariant probes that read the struct-of-arrays protocol state every
 // K rounds without touching the per-message path.
+//
+// A probe is one fan-out on the shard worker pool (observeShard): each
+// shard's task reads its own alive nodes — oracle error, local mass,
+// flow anti-symmetry of the edges to higher-id neighbors — and writes
+// only its padded shard block and its nodes' rows of the mass scratch.
+// The serial merge sums those rows in ascending node id, the order of a
+// single-threaded scan, and the error quantiles are exact order
+// statistics, so every sample field is identical for every shard count
+// and layout.
 
 import (
 	"math"
@@ -32,10 +41,6 @@ func (e *Engine) SetMetrics(rec *metrics.Recorder) {
 		return
 	}
 	rec.EnsureBanks(e.shards)
-	if e.probeSums == nil {
-		e.probeSums = make([]stats.Sum2, e.width)
-		e.probeVal = gossip.NewValue(e.width)
-	}
 	e.updateFlight()
 }
 
@@ -101,22 +106,47 @@ func (e *Engine) noteEvent(ev metrics.Event) {
 // immediately, regardless of the recorder's sampling interval. No-op
 // without an attached recorder. Run calls observe automatically at the
 // recorder's cadence; Observe is for callers stepping the engine
-// manually.
+// manually. The oracle errors are scanned in the same fan-out as the
+// invariant probes.
 func (e *Engine) Observe() {
 	if e.rec == nil {
 		return
 	}
-	e.observe(e.Errors())
+	e.probe(true)
+	e.record(e.mergeErrors())
 }
 
-// observe computes one metrics.Sample from the current state: error
-// quantiles over errs (the per-node oracle errors for this round), the
-// global mass-conservation residual, the in-flight weight fraction, the
-// flow anti-symmetry violation count, and the merged counters.
+// observe samples the engine with errs, the per-node oracle errors of
+// this round that the caller (Run) has already scanned.
 func (e *Engine) observe(errs []float64) {
 	if e.rec == nil {
 		return
 	}
+	e.probe(false)
+	e.record(errs)
+}
+
+// probe runs observeShard on every shard, scanning the oracle errors
+// into the shards' errs scratch too when scanErrs is set. The mass
+// scratch is allocated here, on the first probe, so an engine that is
+// never observed does not carry it.
+func (e *Engine) probe(scanErrs bool) {
+	n, w := len(e.protos), e.width
+	if len(e.obsSum) != w || cap(e.obsW) < n {
+		e.obsX = make([]float64, n*w)
+		e.obsW = make([]float64, n)
+		e.obsSum = make([]stats.Sum2, w)
+	}
+	e.obsX, e.obsW = e.obsX[:n*w], e.obsW[:n]
+	e.shard.observeErrs = scanErrs
+	e.runShards("observe", metrics.PhaseErrors, e.shard.observeTask)
+}
+
+// record builds one metrics.Sample from a finished probe: error
+// quantiles over errs, the global mass-conservation residual, the
+// in-flight weight fraction, the flow anti-symmetry violation count,
+// and the merged counters.
+func (e *Engine) record(errs []float64) {
 	p50, p90, p99 := e.rec.ErrQuantiles(errs)
 	mass, inflight := e.massResidual()
 	s := metrics.Sample{
@@ -133,9 +163,46 @@ func (e *Engine) observe(errs []float64) {
 	e.rec.RecordSample(s)
 }
 
+// observeShard is shard s's probe task. For every alive node it owns,
+// in ascending id order, it appends the node's oracle error to the
+// shard's errs scratch (when the probe scans errors), writes the node's
+// local mass into its scratch row, and counts the anti-symmetry
+// violations of the node's edges to higher-id neighbors into the
+// shard's block.
+func (e *Engine) observeShard(s int) {
+	l := &e.shard.local[s]
+	scanErrs := e.shard.observeErrs
+	if scanErrs {
+		l.errs = l.errs[:0]
+	}
+	w := e.width
+	anti := 0
+	for _, i32 := range e.shard.nodes[s] {
+		i := int(i32)
+		if !e.alive[i] {
+			continue
+		}
+		if scanErrs {
+			l.errs = append(l.errs, e.nodeErr(i, l))
+		}
+		p := e.protos[i]
+		l.mass.X = e.obsX[i*w : (i+1)*w : (i+1)*w]
+		if mr, ok := p.(gossip.MassReader); ok {
+			mr.LocalValueInto(&l.mass)
+		} else {
+			l.mass.Set(p.LocalValue())
+		}
+		e.obsW[i] = l.mass.W
+		if ev, ok := p.(gossip.EdgeViewer); ok {
+			anti += e.antiSymAt(i, ev)
+		}
+	}
+	l.antiSym = anti
+}
+
 // massResidual probes the paper's Sec. II-A conservation invariant from
-// the live protocol state. It sums every alive node's local mass with
-// compensated summation and reports two quantities:
+// the mass rows of the last probe, summed with compensated summation in
+// ascending node id over the alive nodes. It reports two quantities:
 //
 //   - mass: the worst per-component relative deviation of the *ratio*
 //     estimate Σx_k/Σw from the oracle target. The ratio form is the
@@ -148,29 +215,19 @@ func (e *Engine) observe(errs []float64) {
 //     initial alive weight — exactly that churn, i.e. how much mass is
 //     riding in unacknowledged exchanges right now.
 func (e *Engine) massResidual() (mass, inflight float64) {
-	if e.probeSums == nil {
-		e.probeSums = make([]stats.Sum2, e.width)
-		e.probeVal = gossip.NewValue(e.width)
-	}
-	sums := e.probeSums
+	sums := e.obsSum
 	for k := range sums {
 		sums[k].Reset()
 	}
 	var wsum, w0 stats.Sum2
-	for i, p := range e.protos {
-		if !e.alive[i] {
+	width := e.width
+	for i, alive := range e.alive {
+		if !alive {
 			continue
 		}
 		w0.Add(e.init[i].W)
-		v := e.probeVal
-		if mr, ok := p.(gossip.MassReader); ok {
-			mr.LocalValueInto(&e.probeVal)
-			v = e.probeVal
-		} else {
-			v = p.LocalValue()
-		}
-		wsum.Add(v.W)
-		for k, x := range v.X {
+		wsum.Add(e.obsW[i])
+		for k, x := range e.obsX[i*width : (i+1)*width] {
 			sums[k].Add(x)
 		}
 	}
@@ -190,74 +247,64 @@ func (e *Engine) massResidual() (mass, inflight float64) {
 	return mass, inflight
 }
 
-// antiSymViolations counts edges whose flow state violates bitwise
-// anti-symmetry f(j,i) = −f(i,j), the invariant every acknowledged
-// flow exchange restores. For PCF (gossip.SlotsViewer) each of the two
-// per-edge slots is checked and a mismatch counts only when neither
-// side is zero — a half-completed handshake legitimately has one side
-// staged and the other empty. For PF/FU (gossip.FlowViewer) any
-// mismatch counts: their exchange overwrites the mirror in one step,
-// so a standing asymmetry is mass in flight or eviction skew. Returns
-// −1 when the protocol exposes no flow state (e.g. push-sum).
+// antiSymViolations sums the shards' anti-symmetry counts of the last
+// probe: the edges whose flow state violates bitwise anti-symmetry
+// f(j,i) = −f(i,j), the invariant every acknowledged flow exchange
+// restores. Returns −1 when the protocol exposes no flow state (e.g.
+// push-sum).
 //
 // Violations are expected while exchanges are in flight; the probe is
 // most meaningful after Drain on the sequential model (where it must be
 // zero for flow protocols) and as a churn trend under failures.
 func (e *Engine) antiSymViolations() int {
-	n := len(e.protos)
-	if n == 0 {
+	if len(e.protos) == 0 {
 		return -1
 	}
-	switch e.protos[0].(type) {
-	case gossip.SlotsViewer, gossip.FlowViewer:
-	default:
+	if _, ok := e.protos[0].(gossip.EdgeViewer); !ok {
 		return -1
 	}
 	count := 0
-	for i := 0; i < n; i++ {
-		if !e.alive[i] {
+	for s := range e.shard.local {
+		count += e.shard.local[s].antiSym
+	}
+	return count
+}
+
+// antiSymAt counts the anti-symmetry violations on alive node i's links
+// to alive higher-id neighbors j, comparing the flow slots of the two
+// edge stores (gossip.EdgeStore.AntiSymViolations). For PCF each of the
+// two per-edge slots is checked and a mismatch counts only when neither
+// side is zero — a half-completed handshake legitimately has one side
+// staged and the other empty. For PF/FU any mismatch counts: their
+// exchange overwrites the mirror in one step, so a standing asymmetry
+// is mass in flight or eviction skew. Overlay neighbors index the edge
+// stores directly while the two agree; a neighbor row that has diverged
+// from the store (rewires, leaves) falls back to the id lookup.
+func (e *Engine) antiSymAt(i int, ev gossip.EdgeViewer) int {
+	si, flows, exempt := ev.EdgeView()
+	count := 0
+	for k, j32 := range e.neighbors(i) {
+		j := int(j32)
+		if j <= i || !e.alive[j] {
 			continue
 		}
-		si, isSlots := e.protos[i].(gossip.SlotsViewer)
-		fi, isFlow := e.protos[i].(gossip.FlowViewer)
-		if !isSlots && !isFlow {
+		vj, ok := e.protos[j].(gossip.EdgeViewer)
+		if !ok {
 			continue
 		}
-		for _, j32 := range e.neighbors(i) {
-			j := int(j32)
-			if j <= i || !e.alive[j] {
-				continue
-			}
-			if isSlots {
-				sj, ok := e.protos[j].(gossip.SlotsViewer)
-				if !ok {
-					continue
-				}
-				a, okA := si.SlotViews(j)
-				b, okB := sj.SlotViews(i)
-				if !okA || !okB {
-					continue
-				}
-				for s := 0; s < 2; s++ {
-					if !a[s].EqualNeg(b[s]) && !a[s].IsZero() && !b[s].IsZero() {
-						count++
-					}
-				}
-				continue
-			}
-			fj, ok := e.protos[j].(gossip.FlowViewer)
-			if !ok {
-				continue
-			}
-			a, okA := fi.FlowView(j)
-			b, okB := fj.FlowView(i)
-			if !okA || !okB {
-				continue
-			}
-			if !a.EqualNeg(b) {
-				count++
-			}
+		sj, fj, xj := vj.EdgeView()
+		if fj != flows || xj != exempt {
+			continue
 		}
+		ki := k
+		if k >= si.Degree() || si.Neighbor(k) != j {
+			ki = si.Edge(j)
+		}
+		kj := sj.Edge(i)
+		if ki < 0 || kj < 0 {
+			continue
+		}
+		count += si.AntiSymViolations(ki, sj, kj, flows, exempt)
 	}
 	return count
 }

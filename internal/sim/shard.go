@@ -132,10 +132,10 @@ func WithSerialDelivery() EngineOption {
 }
 
 // WithPhaseLabels wraps every pooled-worker task in runtime/pprof labels
-// (phase=activate|deliver|errors, shard=<s>), so a -cpuprofile taken of
-// a sharded run attributes samples to phases and shards. Opt-in because
-// pprof.Do allocates per task — the default hot path stays
-// allocation-free (the bench gate pins allocs/op).
+// (phase=activate|deliver|errors|observe, shard=<s>), so a -cpuprofile
+// taken of a sharded run attributes samples to phases and shards.
+// Opt-in because pprof.Do allocates per task — the default hot path
+// stays allocation-free (the bench gate pins allocs/op).
 func WithPhaseLabels() EngineOption {
 	return func(e *Engine) { e.phaseLabels = true }
 }
@@ -169,14 +169,16 @@ type shardState struct {
 
 	surplus []*gossip.Message // rebalancePools scratch
 
-	// phase1Task, deliverTask and errorsTask are the bound method values
-	// handed to runShards every round. Bound once at init: creating a
+	// phase1Task, deliverTask, errorsTask and observeTask are the bound
+	// method values handed to runShards. Bound once at init: creating a
 	// method value or closure at the call site would heap-allocate per
 	// call (the func escapes through labeled and the pool's task
 	// channel), and the bench gate pins the sharded round's allocs/op.
 	phase1Task  func(int)
 	deliverTask func(int)
 	errorsTask  func(int)
+	observeTask func(int)
+	observeErrs bool // observeTask also scans the oracle errors (Observe)
 
 	workers *workerPool // persistent phase-1 workers; nil until first parallel round
 }
@@ -186,9 +188,10 @@ const cacheLine = 64
 
 // shardWrites is what shard s's phase tasks write: its phase-1 worker
 // (free list, outbox row, keepalive count, staged events), its phase-2
-// delivery task (free list, merge cursors) and its errors task (errs,
-// est). Shards write these concurrently, so two shards' copies must
-// never share a cache line — see shardLocal.
+// delivery task (free list, merge cursors), its errors task (errs,
+// est) and its observe task (errs, est, mass, antiSym). Shards write
+// these concurrently, so two shards' copies must never share a cache
+// line — see shardLocal.
 type shardWrites struct {
 	pool []*gossip.Message // message free list
 
@@ -203,6 +206,9 @@ type shardWrites struct {
 
 	errs []float64 // Errors scratch
 	est  []float64 // estimate scratch
+
+	mass    gossip.Value // observe: header of the node's row in the mass scratch
+	antiSym int          // observe: this shard's anti-symmetry violations
 
 	// events stages trace events emitted during phase 1 (detector
 	// evictions, reintegrations); they are flushed into the recorder's
@@ -442,6 +448,7 @@ func (e *Engine) initShards(seed int64) {
 	ss.phase1Task = e.shardPhase1
 	ss.deliverTask = e.deliverShard
 	ss.errorsTask = e.errorsShard
+	ss.observeTask = e.observeShard
 	e.shard = ss
 	e.seedNodeRNG(seed)
 }
@@ -778,29 +785,24 @@ func (e *Engine) clearRoundState() {
 	}
 }
 
-// errorsShard refills shard s's Errors scratch.
+// errorsShard refills shard s's Errors scratch with the worst relative
+// error of every alive node in the shard, in ascending id order.
 func (e *Engine) errorsShard(s int) {
 	l := &e.shard.local[s]
-	l.errs = e.errorsRange(s, l.errs[:0])
+	l.errs = l.errs[:0]
+	for _, i32 := range e.shard.nodes[s] {
+		if i := int(i32); e.alive[i] {
+			l.errs = append(l.errs, e.nodeErr(i, l))
+		}
+	}
 }
 
-// errorsRange appends the worst relative error of every alive node in
-// shard s to out, using the shard's own estimate scratch.
-func (e *Engine) errorsRange(s int, out []float64) []float64 {
-	l := &e.shard.local[s]
-	for _, i32 := range e.shard.nodes[s] {
-		i := int(i32)
-		if !e.alive[i] {
-			continue
-		}
-		var est []float64
-		if ip, ok := e.protos[i].(gossip.Estimator); ok {
-			l.est = ip.EstimateInto(l.est)
-			est = l.est
-		} else {
-			est = e.protos[i].Estimate()
-		}
-		out = append(out, e.worstErr(est))
+// nodeErr returns node i's worst relative error, using shard block l's
+// estimate scratch.
+func (e *Engine) nodeErr(i int, l *shardLocal) float64 {
+	if ip, ok := e.protos[i].(gossip.Estimator); ok {
+		l.est = ip.EstimateInto(l.est)
+		return e.worstErr(l.est)
 	}
-	return out
+	return e.worstErr(e.protos[i].Estimate())
 }

@@ -10,6 +10,7 @@ import (
 	"pcfreduce/internal/detect"
 	"pcfreduce/internal/fault"
 	"pcfreduce/internal/gossip"
+	"pcfreduce/internal/metrics"
 	"pcfreduce/internal/pushflow"
 	"pcfreduce/internal/pushsum"
 	"pcfreduce/internal/sim"
@@ -272,10 +273,11 @@ func TestShardConvergence(t *testing.T) {
 }
 
 // TestShardedRoundAllocFree pins the steady-state sharded round — Step
-// plus the Errors scan every Run round performs — at zero allocations
-// on a two-shard engine whose phases really run on the worker pool.
-// Every task handed to runShards must be bound once at set-up; a
-// closure built per call escapes through the pool's task channel.
+// plus the Errors scan every Run round performs — and the Observe probe
+// at zero allocations on a two-shard engine whose phases really run on
+// the worker pool. Every task handed to runShards must be bound once at
+// set-up; a closure built per call escapes through the pool's task
+// channel.
 func TestShardedRoundAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := topology.Hypercube(8)
@@ -293,12 +295,22 @@ func TestShardedRoundAllocFree(t *testing.T) {
 		e.Step()
 		e.Errors()
 	}
-	if a := testing.AllocsPerRun(50, func() { e.Step() }); a != 0 {
+	if a := pooledAllocs(50, e.Step); a != 0 {
 		t.Errorf("Step: %v allocs/op, want 0", a)
 	}
-	if a := testing.AllocsPerRun(50, func() { e.Errors() }); a != 0 {
+	if a := pooledAllocs(50, func() { e.Errors() }); a != 0 {
 		t.Errorf("Errors: %v allocs/op, want 0", a)
 	}
+	// The first Observe allocates the probe scratch; the sample history
+	// grows by doubling, so 128 samples leave room for the measured ones.
+	e.SetMetrics(metrics.New(metrics.Config{Shards: 2, Interval: 1 << 30}))
+	for range 128 {
+		e.Observe()
+	}
+	if a := pooledAllocs(50, e.Observe); a != 0 {
+		t.Errorf("Observe: %v allocs/op, want 0", a)
+	}
+	e.SetMetrics(nil)
 	// Messages recycled between rounds (Drain, FailLink's flush,
 	// CrashNode's purge) must return to the shard free lists the next
 	// round draws from, not be parked where no round reuses them.
@@ -315,6 +327,22 @@ func TestShardedRoundAllocFree(t *testing.T) {
 			t.Errorf("Step after %s: %d allocs, want 0", op.name, a)
 		}
 	}
+}
+
+// pooledAllocs is testing.AllocsPerRun without its GOMAXPROCS(1) pin,
+// so that a sharded engine's phases really fan out onto the worker
+// pool: the heap allocations per call of f, averaged over runs calls
+// after one warm-up call.
+func pooledAllocs(runs int, f func()) uint64 {
+	f()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&ms)
+	return (ms.Mallocs - before) / uint64(runs)
 }
 
 // firstStepAllocs counts the heap allocations of exactly one Step —

@@ -128,9 +128,9 @@ type Engine struct {
 
 	inbox    [][]*gossip.Message // pooled; recycled after dispatch
 	alive    []bool
-	dead     map[[2]int]bool // failed links, ordered pairs i<j
-	silenced map[[2]int]bool // silently dropping links (no notification)
-	hung     []bool          // transiently frozen nodes
+	dead     linkSet // failed links
+	silenced linkSet // silently dropping links (no notification)
+	hung     []bool  // transiently frozen nodes
 
 	detCfg     *DetectorConfig
 	det        []*detect.Detector
@@ -145,12 +145,17 @@ type Engine struct {
 
 	interceptor Interceptor
 
-	rec       *metrics.Recorder // nil ⇒ every metrics touch is a no-op (observe.go)
-	timeline  *metrics.Timeline // nil ⇒ no span tracing (SetTimeline, observe.go)
-	flight    *flight           // nil ⇒ phase timing off entirely (updateFlight, flight.go)
-	inPhase1  bool              // inside phase-split phase 1: events must be staged per shard
-	probeVal  gossip.Value      // massResidual scratch
-	probeSums []stats.Sum2      // massResidual scratch
+	rec      *metrics.Recorder // nil ⇒ every metrics touch is a no-op (observe.go)
+	timeline *metrics.Timeline // nil ⇒ no span tracing (SetTimeline, observe.go)
+	flight   *flight           // nil ⇒ phase timing off entirely (updateFlight, flight.go)
+	inPhase1 bool              // inside phase-split phase 1: events must be staged per shard
+
+	// Observe scratch (observe.go), nil until the first observe: every
+	// alive node's local mass as a row (obsX[i·width…], obsW[i]),
+	// written by its shard's task and summed serially.
+	obsX   []float64
+	obsW   []float64
+	obsSum []stats.Sum2
 
 	seq           bool                // sequential model: neither WithShards nor WithPartition given
 	shards        int                 // executor shard count (1 under the sequential model)
@@ -238,21 +243,19 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 		}
 	}
 	e := &Engine{
-		graph:    g,
-		protos:   protos,
-		init:     make([]gossip.Value, n),
-		width:    width,
-		rng:      rand.New(rand.NewSource(seed)),
-		seed:     seed,
-		inbox:    make([][]*gossip.Message, n),
-		alive:    make([]bool, n),
-		hung:     make([]bool, n),
-		dead:     make(map[[2]int]bool),
-		silenced: make(map[[2]int]bool),
-		perm:     make([]int32, n),
-		errBuf:   make([]float64, 0, n),
-		medBuf:   make([]float64, 0, n),
-		sumBuf:   make([]stats.Sum2, width),
+		graph:  g,
+		protos: protos,
+		init:   make([]gossip.Value, n),
+		width:  width,
+		rng:    rand.New(rand.NewSource(seed)),
+		seed:   seed,
+		inbox:  make([][]*gossip.Message, n),
+		alive:  make([]bool, n),
+		hung:   make([]bool, n),
+		perm:   make([]int32, n),
+		errBuf: make([]float64, 0, n),
+		medBuf: make([]float64, 0, n),
+		sumBuf: make([]stats.Sum2, width),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -330,8 +333,8 @@ func (e *Engine) Reset(seed int64) {
 		e.alive[i] = true
 		e.hung[i] = false
 	}
-	clear(e.dead)
-	clear(e.silenced)
+	e.dead.reset()
+	e.silenced.reset()
 	// New leaves perm as the identity permutation; Step shuffles it in
 	// place every round, so restoring the identity is what makes the
 	// reused RNG stream reproduce a fresh engine's schedule.
@@ -394,10 +397,6 @@ func (e *Engine) ResetWithInputs(seed int64, init []gossip.Value) {
 		e.width = width
 		e.sumBuf = make([]stats.Sum2, width)
 		e.targets = make([]float64, width)
-		if e.probeSums != nil {
-			e.probeSums = make([]stats.Sum2, width)
-			e.probeVal = gossip.NewValue(width)
-		}
 		for s := range e.shard.local {
 			e.shard.local[s].pool = nil
 			e.shard.local[s].est = make([]float64, width, lineCap(width))
@@ -730,10 +729,14 @@ func (e *Engine) send(s int, msg *gossip.Message) {
 }
 
 // unreachable reports whether m is lost in flight: its link failed or
-// is silenced, or its destination is dead.
+// is silenced, or its destination is dead. The link sets are hashed
+// only when the sender has a failed or silenced link at all.
 func (e *Engine) unreachable(m *gossip.Message) bool {
-	key := linkKey(m.From, m.To)
-	return e.dead[key] || e.silenced[key] || !e.alive[m.To]
+	if !e.alive[m.To] {
+		return true
+	}
+	return e.dead.touches(m.From) && e.dead.has(m.From, m.To) ||
+		e.silenced.touches(m.From) && e.silenced.has(m.From, m.To)
 }
 
 // intercept runs the installed interceptor on msg — Intercept, then
@@ -818,8 +821,7 @@ func (e *Engine) failLink(i, j int, abrupt bool) {
 	if !e.hasEdge(i, j) {
 		panic(fmt.Sprintf("sim: no link (%d,%d) to fail", i, j))
 	}
-	key := linkKey(i, j)
-	if e.dead[key] {
+	if e.dead.has(i, j) {
 		return
 	}
 	kind := metrics.EvLinkFail
@@ -830,7 +832,7 @@ func (e *Engine) failLink(i, j int, abrupt bool) {
 	if abrupt {
 		// Abrupt failures destroy in-flight state by design: notify the
 		// endpoints without measuring what the teardown strands.
-		e.dead[key] = true
+		e.dead.add(i, j)
 		e.purgeLink(i, j)
 		if e.alive[i] {
 			e.protos[i].OnLinkFailure(j)
@@ -847,7 +849,7 @@ func (e *Engine) failLink(i, j int, abrupt bool) {
 		return
 	}
 	e.flushLink(i, j)
-	e.dead[key] = true
+	e.dead.add(i, j)
 	e.teardownPair(i, j)
 }
 
@@ -885,11 +887,10 @@ func (e *Engine) CrashNode(i int) {
 	e.alive[i] = false
 	for _, j32 := range e.neighbors(i) {
 		j := int(j32)
-		key := linkKey(i, j)
-		if e.dead[key] {
+		if e.dead.has(i, j) {
 			continue
 		}
-		e.dead[key] = true
+		e.dead.add(i, j)
 		e.purgeLink(i, j)
 		if e.alive[j] {
 			e.protos[j].OnLinkFailure(i)
@@ -926,19 +927,19 @@ func (e *Engine) SilenceLink(i, j int) {
 	if !e.hasEdge(i, j) {
 		panic(fmt.Sprintf("sim: no link (%d,%d) to silence", i, j))
 	}
-	if !e.silenced[linkKey(i, j)] {
+	if !e.silenced.has(i, j) {
 		e.noteEvent(metrics.Event{Kind: metrics.EvLinkSilence, Round: e.round, A: i, B: j})
 	}
-	e.silenced[linkKey(i, j)] = true
+	e.silenced.add(i, j)
 }
 
 // RestoreLink heals a silenced link: messages flow again, and detectors
 // that evicted the peer will reintegrate it once its traffic resumes.
 func (e *Engine) RestoreLink(i, j int) {
-	if e.silenced[linkKey(i, j)] {
+	if e.silenced.has(i, j) {
 		e.noteEvent(metrics.Event{Kind: metrics.EvLinkRestore, Round: e.round, A: i, B: j})
 	}
-	delete(e.silenced, linkKey(i, j))
+	e.silenced.remove(i, j)
 }
 
 // CrashNodeSilent crashes node i without notifying anyone: its in-flight
@@ -1052,6 +1053,12 @@ func (e *Engine) Estimates() [][]float64 {
 // shard layout.
 func (e *Engine) Errors() []float64 {
 	e.runShards("errors", metrics.PhaseErrors, e.shard.errorsTask)
+	return e.mergeErrors()
+}
+
+// mergeErrors concatenates the shards' errs scratch in ascending node id
+// order into the engine's Errors buffer.
+func (e *Engine) mergeErrors() []float64 {
 	local := e.shard.local
 	e.errBuf = e.errBuf[:0]
 	if e.shard.contig {
@@ -1281,4 +1288,56 @@ func linkKey(i, j int) [2]int {
 		return [2]int{i, j}
 	}
 	return [2]int{j, i}
+}
+
+// linkSet is a set of undirected links that also counts each node's
+// incident members. unreachable runs once per message; with the counts
+// it hashes only the messages of nodes that have a member link, which
+// under a handful of faults is a handful of nodes.
+type linkSet struct {
+	m     map[[2]int]struct{} // members, keyed by linkKey
+	count []int32             // per-node incident members; nil until the first add
+}
+
+// has reports whether the link (i, j) is a member.
+func (s *linkSet) has(i, j int) bool {
+	_, ok := s.m[linkKey(i, j)]
+	return ok
+}
+
+// touches reports whether node i has an incident member.
+func (s *linkSet) touches(i int) bool { return i < len(s.count) && s.count[i] > 0 }
+
+// add inserts the link (i, j); a no-op for a member.
+func (s *linkSet) add(i, j int) {
+	key := linkKey(i, j)
+	if _, ok := s.m[key]; ok {
+		return
+	}
+	if s.m == nil {
+		s.m = make(map[[2]int]struct{})
+	}
+	s.m[key] = struct{}{}
+	for len(s.count) <= key[1] {
+		s.count = append(s.count, 0)
+	}
+	s.count[i]++
+	s.count[j]++
+}
+
+// remove deletes the link (i, j); a no-op for a non-member.
+func (s *linkSet) remove(i, j int) {
+	key := linkKey(i, j)
+	if _, ok := s.m[key]; !ok {
+		return
+	}
+	delete(s.m, key)
+	s.count[i]--
+	s.count[j]--
+}
+
+// reset empties the set, keeping its allocations.
+func (s *linkSet) reset() {
+	clear(s.m)
+	clear(s.count)
 }

@@ -86,8 +86,8 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		w.PutBool(e.alive[i])
 		w.PutBool(e.hung[i])
 	}
-	putLinkSet(w, e.dead)
-	putLinkSet(w, e.silenced)
+	putLinkSet(w, &e.dead)
+	putLinkSet(w, &e.silenced)
 	w.PutBool(e.det != nil)
 	for i := 0; i < n; i++ {
 		w.PutValue(e.init[i])
@@ -360,8 +360,8 @@ func (e *Engine) Restore(s *Snapshot) error {
 		e.alive[i] = r.Bool()
 		e.hung[i] = r.Bool()
 	}
-	readLinkSet(r, e.dead)
-	readLinkSet(r, e.silenced)
+	readLinkSet(r, &e.dead, n)
+	readLinkSet(r, &e.silenced, n)
 	hasDet := r.Bool()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("sim: corrupt snapshot header: %w", err)
@@ -409,7 +409,9 @@ func (e *Engine) Restore(s *Snapshot) error {
 			e.inbox[i] = append(e.inbox[i], m)
 		}
 	}
-	if err := r.Err(); err != nil {
+	if err := r.Err(); errors.Is(err, gossip.ErrStateInvalid) {
+		return fmt.Errorf("sim: corrupt snapshot: %w", err)
+	} else if err != nil {
 		return fmt.Errorf("sim: snapshot does not match engine configuration (graph, protocols or detector differ): %w", err)
 	}
 	if !r.Exhausted() {
@@ -427,11 +429,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 	return nil
 }
 
-// putLinkSet serializes an ordered-pair link set in sorted order, so a
+// putLinkSet serializes a link set's ordered pairs in sorted order, so a
 // snapshot never depends on map iteration order.
-func putLinkSet(w *gossip.StateWriter, set map[[2]int]bool) {
-	keys := make([][2]int, 0, len(set))
-	for k := range set {
+func putLinkSet(w *gossip.StateWriter, set *linkSet) {
+	keys := make([][2]int, 0, len(set.m))
+	for k := range set.m {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(a, b int) bool {
@@ -448,9 +450,10 @@ func putLinkSet(w *gossip.StateWriter, set map[[2]int]bool) {
 }
 
 // readLinkSet restores a link set written by putLinkSet into set
-// (cleared first).
-func readLinkSet(r *gossip.StateReader, set map[[2]int]bool) {
-	clear(set)
+// (emptied first). A pair naming a node outside [0, n) latches the
+// reader's error.
+func readLinkSet(r *gossip.StateReader, set *linkSet, n int) {
+	set.reset()
 	count := r.U64()
 	for c := uint64(0); c < count; c++ {
 		a := int(r.I32())
@@ -458,7 +461,11 @@ func readLinkSet(r *gossip.StateReader, set map[[2]int]bool) {
 		if r.Err() != nil {
 			return
 		}
-		set[[2]int{a, b}] = true
+		if a < 0 || b < 0 || a >= n || b >= n {
+			r.Fail()
+			return
+		}
+		set.add(a, b)
 	}
 }
 

@@ -7,6 +7,8 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -150,6 +152,83 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// SelectQuantiles sets out[i] to QuantileSorted of the ascending sort of
+// xs at qs[i], computed by selection instead of sorting: it reorders xs
+// in place, allocates nothing and runs in expected linear time. For
+// NaN-free xs each result equals QuantileSorted's: the same two order
+// statistics under the same interpolation. With qs ascending, each
+// selection runs only over the part of xs above the previous one.
+func SelectQuantiles(xs, qs, out []float64) {
+	n := len(xs)
+	base := 0 // xs[base:] holds the order statistics base… of xs
+	for i, q := range qs {
+		if n == 0 || q < 0 || q > 1 || math.IsNaN(q) {
+			out[i] = math.NaN()
+			continue
+		}
+		pos := q * float64(n-1)
+		lo := int(math.Floor(pos))
+		hi := int(math.Ceil(pos))
+		if lo < base {
+			base = 0
+		}
+		selectNth(xs[base:], lo-base)
+		base = lo
+		if lo == hi {
+			out[i] = xs[lo]
+			continue
+		}
+		// Everything past lo is ≥ xs[lo]; the next order statistic is
+		// their minimum.
+		next := xs[hi]
+		for _, x := range xs[hi+1:] {
+			next = min(next, x)
+		}
+		frac := pos - float64(lo)
+		out[i] = xs[lo]*(1-frac) + next*frac
+	}
+}
+
+// selectNth reorders NaN-free xs so that xs[k] holds the k-th smallest
+// element, with nothing larger before it and nothing smaller after it:
+// Hoare's quickselect with a median-of-three pivot. A range that has
+// not shrunk to k after 2·log₂n partitions is sorted instead, bounding
+// the worst case at O(n log n).
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); hi > lo; budget-- {
+		if budget == 0 {
+			slices.Sort(xs[lo : hi+1])
+			return
+		}
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		p := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < p {
+				i++
+			}
+			for xs[j] > p {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] ≤ p ≤ xs[i..hi], and everything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // ErrorPoint is one iteration of a convergence trace: the maximal and

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,53 @@ func TestQuantileSortedMatchesQuantile(t *testing.T) {
 	}
 	if QuantileSorted([]float64{7}, 0.3) != 7 {
 		t.Fatal("single element must be its own quantile")
+	}
+}
+
+// TestSelectQuantilesMatchesSorted: selection must return exactly what
+// sorting and interpolating does, on random inputs and on inputs made
+// mostly of ties, for ascending and unordered quantile lists, and must
+// reorder without losing or inventing elements.
+func TestSelectQuantilesMatchesSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(200)
+		xs := make([]float64, n)
+		distinct := 1 + rng.Intn(n)
+		for i := range xs {
+			xs[i] = float64(rng.Intn(distinct)) * rng.ExpFloat64()
+			if trial%3 == 0 {
+				xs[i] = float64(rng.Intn(distinct))
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, qs := range [][]float64{
+			{0, 0.01, 0.5, 0.9, 0.99, 1},
+			{0.99, 0.5, 0.9, 0.5, 0},
+		} {
+			work := append([]float64(nil), xs...)
+			out := make([]float64, len(qs))
+			SelectQuantiles(work, qs, out)
+			for i, q := range qs {
+				if want := QuantileSorted(sorted, q); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d q=%g: SelectQuantiles %v, QuantileSorted %v", n, q, out[i], want)
+				}
+			}
+			sort.Float64s(work)
+			for i := range work {
+				if work[i] != sorted[i] {
+					t.Fatalf("n=%d qs=%v: selection changed the multiset", n, qs)
+				}
+			}
+		}
+	}
+	out := make([]float64, 2)
+	SelectQuantiles(nil, []float64{0.5, 0.9}, out)
+	nan := math.IsNaN(out[0]) && math.IsNaN(out[1])
+	SelectQuantiles([]float64{1}, []float64{-0.5, 1.5}, out)
+	if !nan || !math.IsNaN(out[0]) || !math.IsNaN(out[1]) {
+		t.Fatal("SelectQuantiles: want NaN for empty input or q outside [0, 1]")
 	}
 }
 
