@@ -29,26 +29,19 @@ import (
 
 func main() {
 	var (
-		fig       = flag.Int("fig", 0, "figure to regenerate (2,3,4,6,7,8); 0 = none")
-		exp       = flag.String("exp", "", "ablation experiment (A,B,C,D,E,G,H,I,J,K)")
-		all       = flag.Bool("all", false, "regenerate every figure and ablation")
-		scale     = flag.Int("scale", 4, "max size index i for Figs. 3/6 (n = 2^(3i); paper: 5)")
-		runs      = flag.Int("runs", 10, "QR repetitions per size for Fig. 8 (paper: 50)")
-		qrDim     = flag.Int("qrdim", 8, "max hypercube dimension for Fig. 8 (paper: 10)")
-		seed      = flag.Int64("seed", 1, "base random seed")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		bench     = flag.String("bench-json", "", "measure the simulator hot path and write results to this JSON file (e.g. benches/BENCH_sim.json)")
-		benchGate = flag.String("bench-gate", "", "re-measure the sharded PCF round (metrics disabled) against the recorded baseline in this JSON file and exit non-zero on a >5% ns/op or any allocs/op regression")
-		benchSnap = flag.String("bench-snapshot", "", "measure the million-node snapshot/encode cost and merge it into this JSON file, preserving the other recorded baselines")
-
-		benchPhase2 = flag.String("bench-phase2", "", "measure the serial-vs-parallel phase-2 delivery series, regenerate the partition-quality table and merge both into this JSON file")
-
-		benchSmoke = flag.Bool("bench-smoke", false, "fast machine-independent CI check: cross-layout bitwise identity, k-value batching speedup floor and the cache-aware partition contract")
+		fig   = flag.Int("fig", 0, "figure to regenerate (2,3,4,6,7,8); 0 = none")
+		exp   = flag.String("exp", "", "ablation experiment (A,B,C,D,E,G,H,I,J,K)")
+		all   = flag.Bool("all", false, "regenerate every figure and ablation")
+		scale = flag.Int("scale", 4, "max size index i for Figs. 3/6 (n = 2^(3i); paper: 5)")
+		runs  = flag.Int("runs", 10, "QR repetitions per size for Fig. 8 (paper: 50)")
+		qrDim = flag.Int("qrdim", 8, "max hypercube dimension for Fig. 8 (paper: 10)")
+		seed  = flag.Int64("seed", 1, "base random seed")
+		csv   = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 
 		phaseReport   = flag.Bool("phase-report", false, "run short timing-enabled sharded reductions and print the per-shard phase breakdown: partition-predicted vs measured delivery share, barrier waits and pool utilization")
 		checkTimeline = flag.String("check-timeline", "", "structurally validate a gossipsim -timeline JSON export (named tracks, phase slices, fault/churn instants) and exit non-zero on problems")
 
-		shards     = flag.Int("shards", 8, "shard count for the sharded-executor series of -bench-json")
+		shards     = flag.Int("shards", 8, "shard count for the -phase-report runs")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -143,26 +136,6 @@ func main() {
 	}
 	if runExp("K") {
 		expK(emit, *seed)
-		ran = true
-	}
-	if *bench != "" {
-		writeBenchJSON(*bench, *seed, *shards)
-		ran = true
-	}
-	if *benchSnap != "" {
-		runBenchSnapshot(*benchSnap, *seed, *shards)
-		ran = true
-	}
-	if *benchPhase2 != "" {
-		runBenchPhase2(*benchPhase2, *seed, *shards)
-		ran = true
-	}
-	if *benchGate != "" {
-		runBenchGate(*benchGate, *seed)
-		ran = true
-	}
-	if *benchSmoke {
-		runBenchSmoke(*seed)
 		ran = true
 	}
 	if *phaseReport {

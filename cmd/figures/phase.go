@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 
 	"pcfreduce/internal/experiments"
 	"pcfreduce/internal/gossip"
@@ -201,8 +202,13 @@ func runCheckTimeline(path string) {
 	}
 	fmt.Printf("check-timeline %s: %d tracks, %d slices over %d phases, %d instants over %d kinds\n",
 		path, len(tracks), totalSlices, len(slices), totalInstants, len(instants))
-	for name, c := range instants {
-		fmt.Printf("  instant %-20s %d\n", name, c)
+	names := make([]string, 0, len(instants))
+	for name := range instants {
+		names = append(names, name)
+	}
+	sort.Strings(names) // map order would reorder the lines run to run
+	for _, name := range names {
+		fmt.Printf("  instant %-20s %d\n", name, instants[name])
 	}
 	if failed {
 		os.Exit(1)

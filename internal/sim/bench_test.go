@@ -13,9 +13,9 @@ import (
 	"pcfreduce/internal/topology"
 )
 
-// The simulator hot-path benchmarks behind BENCH_sim.json: one op is one
-// full round (Step + the per-round Errors scan the Run loop performs) on
-// an n=1024 hypercube — the steady-state cost of every figure sweep.
+// The simulator hot-path benchmarks: one op is one full round (Step +
+// the per-round Errors scan the Run loop performs) on an n=1024
+// hypercube — the steady-state cost of every figure sweep.
 // Run with -benchmem; the steady-state path is expected to be
 // allocation-free (0 allocs/op up to the rare inbox-growth round).
 
@@ -119,8 +119,7 @@ func BenchmarkRoundPCFHypercube128kShards8(b *testing.B) { benchStepSharded(b, 1
 // attached: the steady-state cost of the per-shard counter banks on the
 // hot round path (the invariant probes run off-path at the sampling
 // cadence and are benchmarked separately by BenchmarkObserve). Compare
-// against the variants above to read the enabled-counters overhead; the
-// disabled (nil-recorder) overhead is what the CI bench gate bounds.
+// against the variants above to read the enabled-counters overhead.
 func benchStepShardedMetrics(b *testing.B, dim, shards int) {
 	g := topology.Hypercube(dim)
 	n := g.N()

@@ -1,14 +1,10 @@
 package sim
 
-// BenchmarkPhase2Delivery isolates the phase-2 delivery work the
-// parallel per-destination tasks replaced: each iteration runs phase 1
-// (activation + routing into the per-(source → destination) buckets)
-// and the barrier bookkeeping with the timer stopped, so the timed
-// region is exactly deliverRound — the per-destination bucket walks,
-// loss draws, inbox appends and free-list recycling. The serial/parallel
-// sub-benchmarks differ only in the serialDeliver flag, the same switch
-// WithSerialDelivery exposes publicly; cmd/figures -bench-phase2 records
-// the full-round counterpart of this ratio in benches/BENCH_sim.json.
+// BenchmarkPhase2Delivery isolates phase-2 delivery: each iteration
+// runs phase 1 (activation + routing into the per-(source → destination)
+// buckets) and the barrier bookkeeping with the timer stopped, so the
+// timed region is exactly deliverRound — the parallel per-destination
+// bucket walks, loss draws, inbox appends and free-list recycling.
 //
 // This file lives in package sim (the other benchmarks are sim_test)
 // because isolating one phase requires calling the unexported phase
@@ -37,40 +33,35 @@ func benchPhase2Graph(n int) *topology.Graph {
 
 func BenchmarkPhase2Delivery(b *testing.B) {
 	for _, n := range []int{1 << 15, 1 << 20} {
-		for _, mode := range []string{"serial", "parallel"} {
-			b.Run(fmt.Sprintf("n%d/%s", n, mode), func(b *testing.B) {
-				g := benchPhase2Graph(n)
-				protos := make([]gossip.Protocol, n)
-				inputs := make([]float64, n)
-				for i := 0; i < n; i++ {
-					protos[i] = core.NewEfficient()
-					inputs[i] = float64(i % 1024)
-				}
-				e := NewScalar(g, protos, inputs, gossip.Average, 1, WithShards(8))
-				defer e.Close()
-				if mode == "serial" {
-					e.serialDeliver = true
-				}
-				for r := 0; r < 8; r++ {
-					e.Step() // settle inbox and free-list high-water marks
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					e.inPhase1 = true
-					e.runShards("activate", metrics.PhaseActivate, e.shard.phase1Task)
-					e.inPhase1 = false
-					e.foldKeepalives()
-					b.StartTimer()
-					e.deliverRound()
-					b.StopTimer()
-					e.flushShardEvents()
-					e.rebalancePools()
-					e.round++
-					b.StartTimer()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			g := benchPhase2Graph(n)
+			protos := make([]gossip.Protocol, n)
+			inputs := make([]float64, n)
+			for i := 0; i < n; i++ {
+				protos[i] = core.NewEfficient()
+				inputs[i] = float64(i % 1024)
+			}
+			e := NewScalar(g, protos, inputs, gossip.Average, 1, WithShards(8))
+			defer e.Close()
+			for r := 0; r < 8; r++ {
+				e.Step() // settle inbox and free-list high-water marks
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e.inPhase1 = true
+				e.runShards("activate", metrics.PhaseActivate, e.shard.phase1Task)
+				e.inPhase1 = false
+				e.foldKeepalives()
+				b.StartTimer()
+				e.deliverRound()
+				b.StopTimer()
+				e.flushShardEvents()
+				e.rebalancePools()
+				e.round++
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -6,8 +6,9 @@ package sim
 // enabled or a span timeline is set (updateFlight in observe.go);
 // e.flight == nil is the default and the ONLY cost on that path is the
 // nil check itself — no time.Now() is ever issued when the flight
-// recorder is off, which is what keeps the bench gate's timing-off
-// sharded round at its recorded ns/op and allocs/op.
+// recorder is off, so a timing-off recorder leaves the sharded round's
+// cost and allocations unchanged (TestShardedRoundAllocFree counts
+// them; perfbench's torus4k-linkfail workload times the recorder path).
 //
 // When on, timing follows the code structure of the executor:
 //

@@ -286,36 +286,6 @@ func TestTimelineSpanAccounting(t *testing.T) {
 	}
 }
 
-// TestSerialDeliveryTimed pins that the WithSerialDelivery path times
-// its per-destination merges too: deliver task spans still appear once
-// per (shard, round), all on the caller's track.
-func TestSerialDeliveryTimed(t *testing.T) {
-	withParallelWorkers(t, 4)
-	const shards, rounds = 2, 20
-	e := metricsEngine(func() gossip.Protocol { return core.NewEfficient() }, 5, 3,
-		sim.WithShards(shards), sim.WithSerialDelivery())
-	defer e.Close()
-	tl := metrics.NewTimeline(shards)
-	e.SetTimeline(tl)
-	for r := 0; r < rounds; r++ {
-		e.Step()
-	}
-	deliver := 0
-	for worker, track := range tl.Spans() {
-		for _, s := range track {
-			if s.Phase == metrics.PhaseDeliver {
-				deliver++
-				if worker != 0 {
-					t.Fatalf("serial delivery span on worker %d track: %+v", worker, s)
-				}
-			}
-		}
-	}
-	if want := shards * rounds; deliver != want {
-		t.Errorf("%d deliver spans under serial delivery, want %d", deliver, want)
-	}
-}
-
 // TestFlightDetachAndReset pins the lifecycle: detaching the timeline
 // (SetTimeline(nil)) stops span recording, and Reset detaches both
 // sinks like it does recorders — per-trial state never leaks across

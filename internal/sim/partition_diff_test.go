@@ -230,9 +230,9 @@ var messageCounters = []metrics.Counter{
 	metrics.Keepalives, metrics.Suspicions, metrics.Evictions, metrics.Reintegrations,
 }
 
-// TestDeliveryPathFaultsAndLoss: serial (WithSerialDelivery) and
-// parallel phase-2 delivery must be byte-identical to the sequential
-// reference for every layout in the grid, with a fault plan observed
+// TestDeliveryPathFaultsAndLoss: parallel phase-2 delivery must be
+// byte-identical to the single-shard reference for every layout in the
+// grid, with a fault plan observed
 // through the detector AND per-link loss active — the configuration
 // where the per-destination tasks draw from loss streams and fold
 // keepalives concurrently — with no interceptor and with each stateful
@@ -294,16 +294,13 @@ func TestDeliveryPathFaultsAndLoss(t *testing.T) {
 				got, gotC, _ := build(v.opt)
 				sameFingerprint(t, v.label+"/parallel vs sequential", want, got)
 				sameCounters(v.label+"/parallel vs sequential", wantC, gotC)
-				got, gotC, _ = build(v.opt, sim.WithSerialDelivery())
-				sameFingerprint(t, v.label+"/serial vs sequential", want, got)
-				sameCounters(v.label+"/serial vs sequential", wantC, gotC)
 			}
 		})
 	}
 }
 
-// TestDeliveryPathBatched: the same serial-vs-parallel delivery
-// differential at value width k ∈ {1, 16} under per-link loss — wide
+// TestDeliveryPathBatched: the same parallel-delivery differential at
+// value width k ∈ {1, 16} under per-link loss — wide
 // messages make the per-destination recycling and inbox appends carry
 // real payloads, and a k=16 run amplifies any divergence to 16
 // components per node.
@@ -323,17 +320,14 @@ func TestDeliveryPathBatched(t *testing.T) {
 			want := build(sim.WithShards(1))
 			for _, v := range layoutVariants(g) {
 				sameFingerprint(t, v.label+"/parallel vs sequential", want, build(v.opt))
-				sameFingerprint(t, v.label+"/serial vs sequential", want,
-					build(v.opt, sim.WithSerialDelivery()))
 			}
 		})
 	}
 }
 
 // TestDeliveryPathChurn: open-world churn (joins, leaves, rewires,
-// per-link loss on a changing overlay) across the layout grid, each
-// layout run with both delivery paths — teardown resyncs and roster
-// changes land between rounds, so the per-destination tasks must see
+// per-link loss on a changing overlay) across the layout grid —
+// teardown resyncs and roster changes land between rounds, so the per-destination tasks must see
 // exactly the membership the sequential reference saw.
 func TestDeliveryPathChurn(t *testing.T) {
 	withParallelWorkers(t, 4)
@@ -355,16 +349,12 @@ func TestDeliveryPathChurn(t *testing.T) {
 		e := build(v.opt)
 		sameChurnFingerprint(t, v.label+"/parallel vs sequential", want, churnFingerprintOf(e))
 		e.Close()
-		e = build(v.opt, sim.WithSerialDelivery())
-		sameChurnFingerprint(t, v.label+"/serial vs sequential", want, churnFingerprintOf(e))
-		e.Close()
 	}
 }
 
 // TestDeliverySnapshotRoundTrip crosses the second barrier with a
 // snapshot: a run with per-link loss active is snapshotted mid-run on a
-// cache-aware engine using parallel delivery, restored into a
-// contiguous engine forced onto the serial delivery path (different
+// cache-aware engine, restored into a contiguous engine (different
 // shard count, different seed at construction), and must continue
 // byte-identically to the uninterrupted run — the directed loss-stream
 // table in the snapshot is what makes the reordered draws land
@@ -403,13 +393,13 @@ func TestDeliverySnapshotRoundTrip(t *testing.T) {
 	want := fingerprintEngine(full, 0, nil)
 
 	restored := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 99,
-		sim.WithShards(3), sim.WithSerialDelivery())
+		sim.WithShards(3))
 	defer restored.Close()
 	if err := restored.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	got := fingerprintEngine(restored, 60, nil)
-	sameFingerprint(t, "restore into serial-delivery contiguous P=3 from parallel bfs P=8", want, got)
+	sameFingerprint(t, "restore into contiguous P=3 from bfs P=8", want, got)
 }
 
 // TestEngineCloseAndReuse: Close is idempotent and a closed engine

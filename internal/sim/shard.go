@@ -37,7 +37,7 @@ package sim
 // owned by its destination shard — the inboxes of its own nodes, its own
 // free list and counter bank, and the loss streams of directed links
 // INTO its shard — so tasks are pairwise disjoint and running them in
-// any order (or inline, in sequence: WithSerialDelivery) produces the
+// any order (or inline, in sequence, on a one-CPU host) produces the
 // same bytes. The only cross-task question is per-inbox message order,
 // and that is fixed by construction: a node sends at most one message
 // per neighbor per round (the data send marks the link via noteSent, so
@@ -79,9 +79,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -121,21 +123,11 @@ func WithPartition(pt *topology.Partition) EngineOption {
 	return func(e *Engine) { e.shards = len(pt.Shards); e.partition = pt }
 }
 
-// WithSerialDelivery makes phase 2 run its per-destination delivery
-// tasks inline, in ascending shard order, instead of dispatching them to
-// the worker pool. The tasks are pairwise disjoint, so this is
-// bit-identical to the parallel dispatch by construction — the option
-// exists precisely so differential tests and the bench smoke can verify
-// that claim, and as a perf baseline for the phase-2 bench rows.
-func WithSerialDelivery() EngineOption {
-	return func(e *Engine) { e.serialDeliver = true }
-}
-
 // WithPhaseLabels wraps every pooled-worker task in runtime/pprof labels
 // (phase=activate|deliver|errors|observe, shard=<s>), so a -cpuprofile
 // taken of a sharded run attributes samples to phases and shards.
 // Opt-in because pprof.Do allocates per task — the default hot path
-// stays allocation-free (the bench gate pins allocs/op).
+// stays allocation-free (TestShardedRoundAllocFree).
 func WithPhaseLabels() EngineOption {
 	return func(e *Engine) { e.phaseLabels = true }
 }
@@ -173,7 +165,8 @@ type shardState struct {
 	// method values handed to runShards. Bound once at init: creating a
 	// method value or closure at the call site would heap-allocate per
 	// call (the func escapes through labeled and the pool's task
-	// channel), and the bench gate pins the sharded round's allocs/op.
+	// channel), and TestShardedRoundAllocFree pins the sharded round at
+	// zero allocations.
 	phase1Task  func(int)
 	deliverTask func(int)
 	errorsTask  func(int)
@@ -201,8 +194,9 @@ type shardWrites struct {
 	// serially after delivery, so delivery tasks only read it.
 	bucket [][]*gossip.Message
 
-	keep int   // keepalive counter, folded at the barrier
-	dcur []int // this shard's k-way merge cursors as a delivery destination
+	keep   int   // keepalive counter, folded at the barrier
+	misses int   // free-list misses since the last rebalancePools
+	dcur   []int // this shard's k-way merge cursors as a delivery destination
 
 	errs []float64 // Errors scratch
 	est  []float64 // estimate scratch
@@ -316,12 +310,11 @@ func (e *Engine) labeled(phase string, f func(int)) func(int) {
 }
 
 // runShards executes f(s) for every shard, tagged with the given pprof
-// phase label when enabled. With one shard, one available CPU, or for
-// delivery under WithSerialDelivery it runs inline in ascending shard
-// order (identical results — every phase is order-independent across
-// shards); otherwise shards 1..p−1 are dispatched to the persistent pool
-// while the caller runs shard 0, and the WaitGroup barrier joins the
-// phase.
+// phase label when enabled. With one shard or one available CPU it runs
+// inline in ascending shard order (identical results — every phase is
+// order-independent across shards); otherwise shards 1..p−1 are
+// dispatched to the persistent pool while the caller runs shard 0, and
+// the WaitGroup barrier joins the phase.
 //
 // With the flight recorder attached (e.flight != nil) every task is
 // timed by its runner, and the caller additionally records its barrier
@@ -331,7 +324,7 @@ func (e *Engine) runShards(phase string, ph metrics.Phase, f func(int)) {
 	p := e.shards
 	f = e.labeled(phase, f)
 	fl := e.flight
-	if p == 1 || runtime.GOMAXPROCS(0) == 1 || (e.serialDeliver && ph == metrics.PhaseDeliver) {
+	if p == 1 || runtime.GOMAXPROCS(0) == 1 {
 		if fl == nil {
 			for s := 0; s < p; s++ {
 				f(s)
@@ -551,11 +544,11 @@ func (e *Engine) foldKeepalives() {
 func (e *Engine) shardPhase1(s int) { e.activate(e.shard.nodes[s], s) }
 
 // deliverRound is the parallel phase 2: one delivery task per
-// destination shard, dispatched onto the worker pool (or run inline in
-// ascending shard order under WithSerialDelivery — bit-identical, since
-// the tasks touch pairwise-disjoint state). The outbox rows belong to
-// their source shards' blocks, so they are truncated here, after the
-// barrier, rather than by the delivery tasks that read them.
+// destination shard, dispatched onto the worker pool (the tasks touch
+// pairwise-disjoint state, so any order gives the same bytes). The
+// outbox rows belong to their source shards' blocks, so they are
+// truncated here, after the barrier, rather than by the delivery tasks
+// that read them.
 func (e *Engine) deliverRound() {
 	e.runShards("deliver", metrics.PhaseDeliver, e.shard.deliverTask)
 	for s := range e.shard.local {
@@ -684,18 +677,28 @@ func (e *Engine) flushShardEvents() {
 	}
 }
 
-// rebalancePools evens out the per-shard free lists after the merge.
-// Messages recycle into their *destination* shard's pool, so asymmetric
-// cross-shard traffic slowly starves some pools while others grow; a
-// starved pool allocates a fresh message for every send. Skimming the
-// surplus above the mean back onto the poorer pools keeps every shard
-// allocation-free in steady state, at the cost of a few pointer moves
-// per round. Pool identity never influences results (a reused message
+// rebalancePools refills and evens out the per-shard free lists after
+// the merge. Messages recycle into their *destination* shard's pool, so
+// asymmetric cross-shard traffic slowly starves some pools while others
+// grow; a starved pool allocates a fresh message for every send.
+// Skimming the surplus above the mean back onto the poorer pools costs
+// a few pointer moves per round. Evening out alone is not enough: a
+// round that missed anywhere (the first one, and any later round whose
+// deficit beat every earlier one) tops the pools up first, see
+// topUpPools. Pool identity never influences results (a reused message
 // is fully overwritten before delivery), so this is invisible to the
 // byte-identical-across-P guarantee.
 func (e *Engine) rebalancePools() {
 	local := e.shard.local
 	p := len(local)
+	missed := 0
+	for s := range local {
+		missed += local[s].misses
+		local[s].misses = 0
+	}
+	if missed > 0 {
+		e.topUpPools()
+	}
 	if p == 1 {
 		return
 	}
@@ -723,6 +726,48 @@ func (e *Engine) rebalancePools() {
 	}
 	e.shard.surplus = surplus[:0]
 }
+
+// topUpPools adds poolHeadroom(len(shard)) fresh messages to every
+// shard's free list, each shard's batch carved out of one message array
+// and one flow backing array. A pool must cover its shard's sends that
+// come before the matching receipts in activation order: a walk over
+// the shard's m activations, one send against a random number of
+// receipts each, whose excursions scale with √m. Topping up only when a
+// round missed keeps the margin past the deepest excursion seen so far,
+// so a later miss needs a record excursion beyond it — in practice the
+// first round's top-up is the last allocation. The shard's routing
+// buckets, whose per-round counts fluctuate on the same scale, get the
+// same margin over their capacity so far, and the pool and surplus
+// slices room for every spare message.
+func (e *Engine) topUpPools() {
+	local := e.shard.local
+	w := e.width
+	spare := 0
+	for s := range local {
+		spare += len(local[s].pool) + poolHeadroom(len(e.shard.nodes[s]))
+	}
+	for s := range local {
+		h := poolHeadroom(len(e.shard.nodes[s]))
+		msgs := make([]gossip.Message, h)
+		flows := make([]float64, 2*h*w)
+		pool := slices.Grow(local[s].pool, spare)
+		for k := range msgs {
+			x := flows[2*k*w : 2*(k+1)*w : 2*(k+1)*w]
+			msgs[k].Flow1.X = x[:w:w]
+			msgs[k].Flow2.X = x[w:]
+			pool = append(pool, &msgs[k])
+		}
+		local[s].pool = pool
+		for d, col := range local[s].bucket {
+			local[s].bucket[d] = slices.Grow(col[:0], cap(col)+h)
+		}
+	}
+	e.shard.surplus = slices.Grow(e.shard.surplus[:0], spare)
+}
+
+// poolHeadroom is the number of spare messages a top-up gives a shard of
+// m nodes: three times √m, the scale of its per-round deficit walk.
+func poolHeadroom(m int) int { return 3 * (int(math.Sqrt(float64(m))) + 1) }
 
 // interceptRound is the serial interception pass of an interceptor
 // round: inboxes in ascending destination id, each one's arrivals past

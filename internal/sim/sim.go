@@ -157,12 +157,11 @@ type Engine struct {
 	obsW   []float64
 	obsSum []stats.Sum2
 
-	seq           bool                // sequential model: neither WithShards nor WithPartition given
-	shards        int                 // executor shard count (1 under the sequential model)
-	shard         *shardState         // executor state of both round models (shard.go)
-	partition     *topology.Partition // explicit shard layout (WithPartition); nil = contiguous
-	serialDeliver bool                // run phase-2 delivery tasks inline (WithSerialDelivery)
-	phaseLabels   bool                // pprof-label pooled tasks (WithPhaseLabels)
+	seq         bool                // sequential model: neither WithShards nor WithPartition given
+	shards      int                 // executor shard count (1 under the sequential model)
+	shard       *shardState         // executor state of both round models (shard.go)
+	partition   *topology.Partition // explicit shard layout (WithPartition); nil = contiguous
+	phaseLabels bool                // pprof-label pooled tasks (WithPhaseLabels)
 
 	nodeCkpt []*gossip.State // per-node crash-restart checkpoints (snapshot.go); nil until CheckpointNode
 
@@ -473,6 +472,7 @@ func (e *Engine) getMsg(s int) *gossip.Message {
 		return m
 	}
 	e.rec.Bank(s).Inc(metrics.FreeListMisses)
+	l.misses++
 	return &gossip.Message{Flow1: gossip.NewValue(e.width), Flow2: gossip.NewValue(e.width)}
 }
 

@@ -6,9 +6,8 @@ import (
 	"pcfreduce/internal/topology"
 )
 
-// The CSR memory-footprint benchmarks behind the memory_footprint table
-// of benches/BENCH_sim.json: build one topology family at n ≈ 2^20 and
-// report the adjacency cost per node. One op is one full graph
+// The CSR memory-footprint benchmarks: build one topology family at
+// n ≈ 2^20 and report the adjacency cost per node. One op is one full graph
 // construction, so ns/op doubles as the million-node build time.
 func benchFootprint(b *testing.B, build func() *topology.Graph) {
 	g := build()

@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"slices"
 	"testing"
 
 	"pcfreduce/internal/topology"
@@ -94,6 +95,33 @@ func TestCacheAwareNeverWorseThanContiguous(t *testing.T) {
 			if pt.Stats.CutEdges > contig.Stats.CutEdges {
 				t.Fatalf("%s p=%d: cache-aware cut %d > contiguous %d", g.Name(), p, pt.Stats.CutEdges, contig.Stats.CutEdges)
 			}
+		}
+	}
+	// Both layouts are deterministic, so on the larger families the
+	// exact 8-shard cut, heaviest cross-shard traffic and chosen
+	// strategy are pinned: a partitioner change that moves any of them
+	// must say so here.
+	for _, want := range []struct {
+		g                    *topology.Graph
+		contigCut, caCut     int
+		contigCross, caCross int
+		strategy             string
+	}{
+		{topology.Hypercube(10), 1536, 1536, 128, 128, "contiguous"},
+		{topology.Grid2D(256, 256), 1792, 1590, 256, 186, "bfs"},
+		{topology.Torus2D(128, 128), 1024, 1024, 128, 128, "contiguous"},
+		{topology.BinaryTree(1<<15 - 1), 28672, 4108, 4096, 586, "bfs"},
+	} {
+		const p = 8
+		pt := topology.CacheAware(want.g, p)
+		checkPartition(t, want.g, pt, p)
+		contig := topology.Contiguous(want.g, p)
+		got := []int{contig.Stats.CutEdges, pt.Stats.CutEdges, contig.Stats.MaxCrossTraffic, pt.Stats.MaxCrossTraffic}
+		pin := []int{want.contigCut, want.caCut, want.contigCross, want.caCross}
+		if !slices.Equal(got, pin) || pt.Stats.Strategy != want.strategy {
+			t.Errorf("%s p=%d: contiguous cut/cross %d/%d, cache-aware %d/%d (%s); pinned %d/%d, %d/%d (%s)",
+				want.g.Name(), p, got[0], got[2], got[1], got[3], pt.Stats.Strategy,
+				pin[0], pin[2], pin[1], pin[3], want.strategy)
 		}
 	}
 }
