@@ -600,6 +600,7 @@ func runDetect(g *pcfreduce.Graph, algo pcfreduce.Algorithm, agg pcfreduce.Aggre
 		opts = append(opts, sim.WithJoinFactory(expAlgo.New))
 	}
 	e := sim.New(g, protos, init, seed, opts...)
+	defer e.Close()
 	var resume *sim.RunState
 	if ck.replayFrom != "" {
 		c, err := checkpoint.ReadFile(ck.replayFrom)

@@ -142,6 +142,7 @@ func Churn(cfg ChurnConfig) ChurnResult {
 		eOpts = append(eOpts, sim.WithShards(cfg.Shards))
 	}
 	e := sim0(g, cfg.Algorithm.Protos(g.N()), inputs, cfg.Seed, eOpts...)
+	defer e.Close()
 
 	res := e.Run(sim.RunConfig{
 		MaxRounds: cfg.Rounds,

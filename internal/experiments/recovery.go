@@ -153,6 +153,7 @@ func RecoveryComparison(cfg RecoveryConfig) ([]RecoveryPoint, error) {
 			})
 			pt.FinalMax = e.MaxError()
 			e.Observe()
+			e.Close()
 			if s, ok := rec.Last(); ok {
 				pt.ResidualMass = float64(s.MassResidual)
 			}

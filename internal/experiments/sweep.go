@@ -289,6 +289,11 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			engines := make(map[int]*sim.Engine) // worker-local cell cache
+			defer func() {
+				for _, e := range engines {
+					e.Close()
+				}
+			}()
 			for jb := range jobs {
 				var donePath, ckptPath string
 				if cfg.CheckpointDir != "" {

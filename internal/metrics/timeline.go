@@ -22,7 +22,7 @@ type TimelineSpan struct {
 // Timeline collects per-worker span tracks for the flight recorder's
 // Perfetto export. Each track is written by exactly one goroutine
 // (worker i appends only to track i) between round barriers, and the
-// pool's WaitGroup barrier orders every append before the caller's
+// pool's barrier orders every append before the caller's
 // reads — the same happens-before discipline as the counter banks, so
 // no locking is needed. Unlike DurHist, spans allocate (append), so a
 // Timeline is only ever attached for explicitly requested trace runs,

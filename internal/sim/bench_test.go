@@ -216,3 +216,59 @@ func BenchmarkObservePCFTorus4kShards2(b *testing.B) {
 	b.ReportMetric(float64(observe.Microseconds())/float64(b.N), "observe-µs")
 	b.ReportMetric(float64(observe)/float64(round), "observe/round")
 }
+
+// BenchmarkShardEfficiency sets two cache-aware shards against one on
+// the two perfbench graphs: each op runs a batch of Step+Errors rounds
+// on a 1-shard engine, then the same batch on a 2-shard engine over the
+// same inputs, so host drift moves both legs alike. eff is the 1-shard
+// time over twice the 2-shard time (1 is perfect scaling); a lone
+// 1-shard solve per run, as in perfbench's sim.parallel_efficiency,
+// instead follows the host. Meaningful only where GOMAXPROCS ≥ 2.
+func BenchmarkShardEfficiency(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"torus3d16", topology.Torus3D(16, 16, 16)},
+		{"hypercube14", topology.Hypercube(14)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			const batch = 40
+			n := c.g.N()
+			inputs := make([]float64, n)
+			for i := range inputs {
+				inputs[i] = float64(i%97) + 0.5
+			}
+			var engines [2]*sim.Engine
+			for k := range engines {
+				protos := make([]gossip.Protocol, n)
+				for i := range protos {
+					protos[i] = core.NewEfficient()
+				}
+				engines[k] = sim.NewScalar(c.g, protos, inputs, gossip.Average, 1,
+					sim.WithPartition(topology.CacheAware(c.g, k+1)))
+				defer engines[k].Close()
+				for range batch {
+					engines[k].Step()
+					engines[k].Errors()
+				}
+			}
+			var took [2]time.Duration
+			b.ResetTimer()
+			for range b.N {
+				for k, e := range engines {
+					t0 := time.Now()
+					for range batch {
+						e.Step()
+						e.Errors()
+					}
+					took[k] += time.Since(t0)
+				}
+			}
+			rounds := float64(b.N * batch)
+			b.ReportMetric(float64(took[0].Microseconds())/rounds, "µs/round-1shard")
+			b.ReportMetric(float64(took[1].Microseconds())/rounds, "µs/round-2shards")
+			b.ReportMetric(float64(took[0])/(2*float64(took[1])), "eff")
+		})
+	}
+}

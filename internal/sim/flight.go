@@ -21,7 +21,7 @@ package sim
 //     round) go to bank 0 as well.
 //
 // Concurrency: a shard's fan-out task runs on exactly one goroutine
-// per phase, and the WaitGroup barrier orders each phase's writes
+// per phase, and the pool's barrier orders each phase's writes
 // before the next phase's — so per-shard histogram banks keep the
 // single-writer-between-barriers discipline of the counter banks, and
 // per-worker timeline tracks are single-writer outright.
@@ -48,7 +48,7 @@ func (fl *flight) task(worker int, ph metrics.Phase, shard, round int, start tim
 	fl.tl.Span(worker, ph, shard, round, start, dur)
 }
 
-// barrier records the caller's wait at a fan-out's WaitGroup barrier
+// barrier records the caller's wait at a fan-out's barrier
 // after finishing its own shard-0 slice.
 func (fl *flight) barrier(ph metrics.Phase, round int, start time.Time) {
 	bp := barrierPhase(ph)

@@ -23,8 +23,8 @@ package sim
 //	outbox bucket bucket[s][d]; nothing is delivered yet.
 //
 //	Phase 2 (parallel): delivery. One delivery task per DESTINATION
-//	shard runs on the same worker pool (a second WaitGroup barrier per
-//	round). Task d walks its P source buckets in ascending global
+//	shard runs on the same worker pool (a second barrier per round).
+//	Task d walks its P source buckets in ascending global
 //	source id order — trivially on contiguous layouts, via a k-way
 //	head merge on arbitrary partitions — and routes each message
 //	through the usual dead/silenced/alive checks and the per-link loss
@@ -57,13 +57,17 @@ package sim
 // node-id keys, so the call sequence is the same for every P and layout.
 //
 // Parallelism uses a persistent worker pool: the first parallel round
-// starts P−1 worker goroutines that block on a task channel; each round
-// the caller dispatches one task per shard (running shard 0 itself) —
-// once for phase 1, once for delivery — and the WaitGroup barrier joins
-// each phase. Workers live until Engine.Close — or, for abandoned
-// engines, until a GC cleanup reclaims them — so steady-state rounds pay
-// two channel operations per shard per phase instead of a goroutine
-// spawn.
+// starts P−1 worker goroutines, worker k−1 serving shard k; each fan-out
+// (activation, delivery, and the Errors and Observe scans) posts one task
+// per worker while the caller runs shard 0, and a countdown joins it.
+// The join is a spin-then-park barrier: a worker that has finished its
+// task, and the caller waiting for the last worker, poll for spinWindow
+// before parking — a round's fan-outs follow each other within that
+// window, so in steady state no goroutine parks and no idle CPU has to
+// be woken, which on a VM costs tens of microseconds per fan-out. Only
+// pools that fit the processors spin (P ≤ GOMAXPROCS and P ≤ NumCPU).
+// Workers live until Engine.Close — or, for abandoned engines, until a
+// GC cleanup reclaims them.
 //
 // The phase-split model is deliberately NOT schedule-compatible with the
 // sequential one: sequential activation delivers a message sent earlier
@@ -86,6 +90,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -165,7 +170,7 @@ type shardState struct {
 	// method values handed to runShards. Bound once at init: creating a
 	// method value or closure at the call site would heap-allocate per
 	// call (the func escapes through labeled and the pool's task
-	// channel), and TestShardedRoundAllocFree pins the sharded round at
+	// slots), and TestShardedRoundAllocFree pins the sharded round at
 	// zero allocations.
 	phase1Task  func(int)
 	deliverTask func(int)
@@ -173,7 +178,7 @@ type shardState struct {
 	observeTask func(int)
 	observeErrs bool // observeTask also scans the oracle errors (Observe)
 
-	workers *workerPool // persistent phase-1 workers; nil until first parallel round
+	workers *workerPool // persistent fan-out workers; nil until first parallel round
 }
 
 // cacheLine is the coherence granule the shard blocks are padded to.
@@ -228,23 +233,59 @@ type shardLocal struct {
 // no line with another shard's.
 func lineCap(n int) int { return (n + 7) &^ 7 }
 
-// workerPool is the persistent goroutine pool behind parallel phase-1
-// execution: size-fixed, fed through a buffered task channel, joined at
-// the round barrier via wg. It holds no engine reference of its own —
-// tasks are closures — so a GC cleanup can shut it down once its engine
-// is unreachable.
+// spinWindow is how long a pool worker that has finished its task, and
+// the caller waiting at a fan-out's join, poll before parking. It must
+// span a whole round's gap between fan-outs, not one phase: a worker
+// that finishes activation before the caller does would otherwise park
+// before delivery is dispatched, and every wake-up of a parked
+// goroutine on an idle CPU costs tens of microseconds. At 1 ms a
+// torus3d(16³) round (about 0.9 ms) keeps its workers running from
+// one fan-out to the next; an idle engine's workers park after 1 ms.
+const spinWindow = time.Millisecond
+
+// workerPool is the persistent goroutine pool behind the parallel
+// fan-outs: worker k−1 runs shard k of every fan-out, the caller runs
+// shard 0. Tasks are posted through per-worker slots and joined through
+// one countdown; a waiting side polls for spinWindow, yielding the
+// processor each turn, before it parks on its wake channel (see parker).
+// The pool holds no engine reference of its own — a slot is cleared as
+// soon as its task returns — so a GC cleanup can shut it down once its
+// engine is unreachable.
 type workerPool struct {
-	tasks chan shardTask
+	join  joinBlock
+	slots []poolSlot
 	stop  chan struct{}
-	wg    sync.WaitGroup
 	once  sync.Once
+}
+
+// joinBlock is the fan-out join: the countdown of unfinished worker
+// tasks and the caller's parker. Padded so the slots' lines stay apart.
+type joinBlock struct {
+	joinState
+	_ [cacheLine - unsafe.Sizeof(joinState{})%cacheLine]byte
+}
+
+type joinState struct {
+	pending atomic.Int32
+	park    parker
+}
+
+// poolSlot is one worker's mailbox, padded to whole cache lines.
+type poolSlot struct {
+	slotState
+	_ [cacheLine - unsafe.Sizeof(slotState{})%cacheLine]byte
+}
+
+type slotState struct {
+	gen  atomic.Int32 // bumped once per posted task
+	park parker
+	task shardTask
+	spin bool // whether to spin while waiting for the next task
 }
 
 // shardTask is one fan-out work item. fl is nil unless the flight
 // recorder is on; when set, the worker times t.f and records the span
-// under (ph, round). The extra fields cost one struct copy through the
-// buffered channel either way — the timing-off path never branches
-// past the nil check.
+// under (ph, round).
 type shardTask struct {
 	f     func(int)
 	s     int
@@ -253,33 +294,131 @@ type shardTask struct {
 	round int
 }
 
+// parker lets the one goroutine that waits for an atomic word to reach
+// a value spin, then park, without losing a wake-up. The waiter
+// announces parked and then re-reads the word; the writer stores the
+// word and then reads parked. Go atomics are sequentially consistent,
+// so at least one of them sees the other, and whichever wins the CAS
+// on parked settles whether a wake token is sent: exactly one token per
+// park. A token can be stale — the caller's notify for one post may land
+// after the worker has run that task and parked for the next, a
+// worker's notify for one join after the caller has posted the next
+// fan-out and parked — so a woken waiter re-checks the word and parks
+// again if it must.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1
+	spins  atomic.Int64  // waits that polled before succeeding or parking (read by tests)
+}
+
+// wait returns true once word holds want, or false if stop is closed
+// first (nil stop: never). With spin set it polls for spinWindow,
+// yielding with runtime.Gosched, before it parks.
+func (pk *parker) wait(word *atomic.Int32, want int32, spin bool, stop <-chan struct{}) bool {
+	if word.Load() == want {
+		return true
+	}
+	if spin {
+		pk.spins.Add(1)
+		start := time.Now()
+		for i := 1; ; i++ {
+			runtime.Gosched()
+			if word.Load() == want {
+				return true
+			}
+			select {
+			case <-stop:
+				return false
+			default:
+			}
+			if i%16 == 0 && time.Since(start) > spinWindow {
+				break
+			}
+		}
+	}
+	for {
+		pk.parked.Store(true)
+		if word.Load() == want && pk.parked.CompareAndSwap(true, false) {
+			return true
+		}
+		// Either the word has not changed yet, or a writer won the CAS and
+		// has sent (or is about to send) a wake token.
+		select {
+		case <-pk.wake:
+			if word.Load() == want {
+				return true
+			}
+		case <-stop:
+			return false
+		}
+	}
+}
+
+// notify wakes the waiter if it parked; called after the word is stored.
+func (pk *parker) notify() {
+	if pk.parked.Load() && pk.parked.CompareAndSwap(true, false) {
+		pk.wake <- struct{}{}
+	}
+}
+
 func newWorkerPool(workers int) *workerPool {
-	w := &workerPool{tasks: make(chan shardTask, workers), stop: make(chan struct{})}
-	for k := 0; k < workers; k++ {
+	w := &workerPool{slots: make([]poolSlot, workers), stop: make(chan struct{})}
+	w.join.park.wake = make(chan struct{}, 1)
+	for k := range w.slots {
+		w.slots[k].park.wake = make(chan struct{}, 1)
 		// Worker ids 1..workers: the caller goroutine is track 0 of the
 		// flight recorder's timeline.
-		go w.run(k + 1)
+		go w.run(k)
 	}
 	return w
 }
 
-func (w *workerPool) run(id int) {
-	for {
-		select {
-		case t := <-w.tasks:
-			if t.fl == nil {
-				t.f(t.s)
-			} else {
-				start := time.Now()
-				t.f(t.s)
-				t.fl.task(id, t.ph, t.s, t.round, start)
-			}
-			w.wg.Done()
-		case <-w.stop:
+func (w *workerPool) run(k int) {
+	sl := &w.slots[k]
+	spin := false // nothing to wait for before the first task
+	for want := int32(1); ; want++ {
+		if !sl.park.wait(&sl.gen, want, spin, w.stop) {
 			return
+		}
+		spin = sl.spin
+		sl.runTask(k + 1)
+		if w.join.pending.Add(-1) == 0 {
+			w.join.park.notify()
 		}
 	}
 }
+
+// runTask runs the slot's task and clears it before the join is
+// signalled: a waiting worker must not keep its last task's engine
+// reachable, or the GC cleanup that closes an abandoned engine's pool
+// would never run.
+func (sl *slotState) runTask(worker int) {
+	t := &sl.task
+	if t.fl == nil {
+		t.f(t.s)
+	} else {
+		start := time.Now()
+		t.f(t.s)
+		t.fl.task(worker, t.ph, t.s, t.round, start)
+	}
+	*t = shardTask{}
+}
+
+// post hands shard k+1's task to worker k, for every worker.
+func (w *workerPool) post(t shardTask, spin bool) {
+	w.join.pending.Store(int32(len(w.slots)))
+	for k := range w.slots {
+		sl := &w.slots[k]
+		sl.task = t
+		sl.task.s = k + 1
+		sl.spin = spin
+		sl.gen.Add(1)
+		sl.park.notify()
+	}
+}
+
+// wait joins the fan-out posted last.
+func (w *workerPool) wait(spin bool) { w.join.park.wait(&w.join.pending, 0, spin, nil) }
 
 func (w *workerPool) close() { w.once.Do(func() { close(w.stop) }) }
 
@@ -312,9 +451,12 @@ func (e *Engine) labeled(phase string, f func(int)) func(int) {
 // runShards executes f(s) for every shard, tagged with the given pprof
 // phase label when enabled. With one shard or one available CPU it runs
 // inline in ascending shard order (identical results — every phase is
-// order-independent across shards); otherwise shards 1..p−1 are
-// dispatched to the persistent pool while the caller runs shard 0, and
-// the WaitGroup barrier joins the phase.
+// order-independent across shards); otherwise shards 1..p−1 are posted
+// to the persistent pool while the caller runs shard 0, and the pool's
+// join is the phase barrier. Both sides spin before parking only when
+// the pool fits the processors: with more shards than GOMAXPROCS or
+// CPUs, a spinning waiter would hold a processor the goroutine it waits
+// for needs.
 //
 // With the flight recorder attached (e.flight != nil) every task is
 // timed by its runner, and the caller additionally records its barrier
@@ -324,7 +466,8 @@ func (e *Engine) runShards(phase string, ph metrics.Phase, f func(int)) {
 	p := e.shards
 	f = e.labeled(phase, f)
 	fl := e.flight
-	if p == 1 || runtime.GOMAXPROCS(0) == 1 {
+	procs := runtime.GOMAXPROCS(0)
+	if p == 1 || procs == 1 {
 		if fl == nil {
 			for s := 0; s < p; s++ {
 				f(s)
@@ -349,24 +492,20 @@ func (e *Engine) runShards(phase string, ph metrics.Phase, f func(int)) {
 		// the pool itself holds no engine reference.
 		runtime.AddCleanup(e, func(pw *workerPool) { pw.close() }, w)
 	}
-	w.wg.Add(p - 1)
+	spin := p <= procs && p <= runtime.NumCPU()
 	if fl == nil {
-		for s := 1; s < p; s++ {
-			w.tasks <- shardTask{f: f, s: s}
-		}
+		w.post(shardTask{f: f}, spin)
 		f(0)
-		w.wg.Wait()
+		w.wait(spin)
 		return
 	}
 	wall := time.Now()
-	for s := 1; s < p; s++ {
-		w.tasks <- shardTask{f: f, s: s, fl: fl, ph: ph, round: e.round}
-	}
+	w.post(shardTask{f: f, fl: fl, ph: ph, round: e.round}, spin)
 	start := time.Now()
 	f(0)
 	fl.task(0, ph, 0, e.round, start)
 	start = time.Now()
-	w.wg.Wait()
+	w.wait(spin)
 	fl.barrier(ph, e.round, start)
 	fl.wall(ph, e.round, wall)
 }

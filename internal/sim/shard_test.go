@@ -348,7 +348,7 @@ func TestShardedRoundAllocFree(t *testing.T) {
 // window of up to runs−1 allocations as zero.
 //
 // The runtime's wait records (sudogs), taken whenever the caller blocks
-// at a phase barrier or a worker parks on the task channel, are not the
+// at a phase barrier or a worker parks between tasks, are not the
 // engine's allocations: the runtime keeps them in per-P caches that
 // every GC empties and that refill one allocation at a time as parked
 // goroutines migrate between Ps. The window therefore runs with the

@@ -300,6 +300,7 @@ func Reduce(inputs []float64, algo Algorithm, opt ReduceOptions) (ReduceResult, 
 		protos[i] = algo.NewNode()
 	}
 	e := sim.NewScalar(opt.Topology, protos, inputs, opt.Aggregate, opt.Seed, opt.engineOptions()...)
+	defer e.Close()
 	if opt.LossRate > 0 {
 		e.SetInterceptor(fault.NewLoss(opt.LossRate, opt.Seed+1))
 	}
@@ -418,6 +419,7 @@ func ReduceBatch(inputs [][]float64, algo Algorithm, opt ReduceOptions) (BatchRe
 		init[i] = Value{X: append([]float64(nil), inputs[i]...), W: opt.Aggregate.InitialWeight(i)}
 	}
 	e := sim.New(opt.Topology, protos, init, opt.Seed, opt.engineOptions()...)
+	defer e.Close()
 	if opt.LossRate > 0 {
 		e.SetInterceptor(fault.NewLoss(opt.LossRate, opt.Seed+1))
 	}

@@ -3,6 +3,8 @@ package pcfreduce_test
 import (
 	"context"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -291,6 +293,50 @@ func TestWeightedReduce(t *testing.T) {
 	weights[2] = 0
 	if _, err := pcfreduce.WeightedReduce(inputs, weights, pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g}); err == nil {
 		t.Fatal("zero weight accepted")
+	}
+}
+
+// Reduce and ReduceBatch close the sharded engine they build: its
+// workers are gone when the call returns, without waiting for the GC
+// cleanup that reclaims dropped engines (the collector is off here).
+func TestReduceShardedClosesEngine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := runtime.NumGoroutine()
+	for range 50 { // let earlier tests' dropped engines be reclaimed
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+		if n := runtime.NumGoroutine(); n == base {
+			break
+		} else {
+			base = n
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := pcfreduce.Hypercube(5)
+	in := inputsFor(g)
+	vec := make([][]float64, len(in))
+	for i, x := range in {
+		vec[i] = []float64{x, 2 * x}
+	}
+	opt := pcfreduce.ReduceOptions{Topology: g, Eps: 1e-12, Shards: 2}
+	for _, run := range []struct {
+		name string
+		f    func() error
+	}{
+		{"Reduce", func() error { _, err := pcfreduce.Reduce(in, pcfreduce.PCF, opt); return err }},
+		{"ReduceBatch", func() error { _, err := pcfreduce.ReduceBatch(vec, pcfreduce.PCF, opt); return err }},
+	} {
+		if err := run.f(); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines 5 s after the call, want ≤ %d: its engine was left open",
+					run.name, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
