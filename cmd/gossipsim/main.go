@@ -429,6 +429,9 @@ func reportMetrics(rec *metrics.Recorder, table bool, eventsPath string) {
 	if table {
 		fmt.Print(rec.Table().String())
 		snap := rec.Counters()
+		// freelist=hits/requests covers pooled messages only (keepalives,
+		// probes, interceptor copies): data messages live in per-node
+		// slots, so a run without a detector or interceptor prints 0/0.
 		fmt.Printf("counters: sent=%d delivered=%d lost=%d dropped=%d corrupted=%d keepalives=%d suspicions=%d evictions=%d reintegrations=%d freelist=%d/%d\n",
 			snap.Get(metrics.MsgsSent), snap.Get(metrics.MsgsDelivered),
 			snap.Get(metrics.MsgsLost), snap.Get(metrics.MsgsDropped),

@@ -51,12 +51,13 @@ func (k Kind) String() string {
 //	                 Flow2.W = sender's weight estimate
 //
 // Kind distinguishes data messages from engine control messages; only
-// KindData messages reach Protocol.Receive.
+// KindData messages reach Protocol.Receive. Kind sits next to C so the
+// two bytes share one padding word: 96 bytes per message instead of 104.
 type Message struct {
 	From, To int
-	Kind     Kind
 	Flow1    Value
 	Flow2    Value
+	Kind     Kind
 	C        uint8
 	R        uint64
 }
@@ -107,7 +108,10 @@ type Protocol interface {
 
 	// Receive processes a delivered message. The message may have been
 	// corrupted or duplicated by fault injection; protocols must not
-	// panic on malformed contents.
+	// panic on malformed contents. The message's flow slices may alias
+	// engine storage that the simulator rewrites two rounds later, so a
+	// protocol copies what it keeps and must not retain the slices past
+	// the call.
 	Receive(msg Message)
 
 	// Estimate returns the node's current estimate of the global
@@ -148,14 +152,14 @@ type Reintegrator interface {
 
 // MessageFiller is an optional Protocol extension for allocation-free
 // engines: instead of returning a freshly allocated Message, the
-// protocol fills an engine-pooled one in place. The engine pre-sets
+// protocol fills an engine-owned one in place. The engine pre-sets
 // From, To, Kind (KindData) and zeroes C and R; the protocol overwrites
 // the payload fields it uses. FillMessage must be numerically identical
 // to MakeMessage — same state transition, bit-identical wire contents —
 // and must leave any unused flow truncated to zero width
 // (msg.FlowN.X = msg.FlowN.X[:0], W = 0) so that width checks and
 // bit-flip injectors observe exactly the shape MakeMessage produces.
-// The pooled message's flow backing arrays have the engine's value
+// The engine message's flow backing arrays have the engine's value
 // width; protocols reuse them via Value.Set / Value.CopyFrom.
 type MessageFiller interface {
 	FillMessage(target int, msg *Message)

@@ -3,7 +3,20 @@ package gossip
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestMessageSize: Kind and C share one padding word, so a message is
+// 96 bytes on 64-bit platforms rather than 104. The simulator keeps two
+// per node.
+func TestMessageSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes below are for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Message{}); got != 96 {
+		t.Errorf("Message is %d bytes, want 96", got)
+	}
+}
 
 func TestMessageCloneIsDeep(t *testing.T) {
 	m := Message{

@@ -43,10 +43,14 @@ const (
 	// Keepalives counts keepalive/probe control messages emitted by the
 	// failure-detection layer.
 	Keepalives
-	// FreeListHits counts message allocations served from a free list.
+	// FreeListHits counts pooled messages served from a free list. The
+	// simulator pools only what is not one data message per sender per
+	// round — keepalives and probes, interceptor copies, copies held
+	// for hung nodes, restored in-flight messages — so a run without a
+	// detector or interceptor counts none.
 	FreeListHits
-	// FreeListMisses counts message allocations that had to go to the
-	// heap (free list empty).
+	// FreeListMisses counts pooled messages that had to go to the heap
+	// (free list empty).
 	FreeListMisses
 	// Suspicions counts failure-detector alive→suspected transitions.
 	Suspicions

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -269,6 +270,56 @@ func BenchmarkShardEfficiency(b *testing.B) {
 			b.ReportMetric(float64(took[0].Microseconds())/rounds, "µs/round-1shard")
 			b.ReportMetric(float64(took[1].Microseconds())/rounds, "µs/round-2shards")
 			b.ReportMetric(float64(took[0])/(2*float64(took[1])), "eff")
+		})
+	}
+}
+
+// liveHeap collects garbage and returns the live heap in bytes.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// BenchmarkEngineHeap reports the steady-state memory of the two
+// perfbench graphs, PCF on two cache-aware shards: the live heap per
+// node that building the topology, partition, protocols and engine
+// adds (B/node-setup, what perfbench's mem_bytes_per_node counts), and
+// the same after 300 Step+Errors rounds (B/node-300rounds), which adds
+// what the rounds keep: message storage, inboxes and buckets at their
+// high-water marks, error scratch and the worker pool.
+func BenchmarkEngineHeap(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		graph func() *topology.Graph
+	}{
+		{"torus3d16", func() *topology.Graph { return topology.Torus3D(16, 16, 16) }},
+		{"hypercube14", func() *topology.Graph { return topology.Hypercube(14) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var setup, steady float64
+			for range b.N {
+				base := liveHeap()
+				g := c.graph()
+				n := g.N()
+				protos := make([]gossip.Protocol, n)
+				inputs := make([]float64, n)
+				for i := range protos {
+					protos[i] = core.NewEfficient()
+					inputs[i] = float64(i%97) + 0.5
+				}
+				e := sim.NewScalar(g, protos, inputs, gossip.Average, 1, sim.WithPartition(topology.CacheAware(g, 2)))
+				setup += float64(liveHeap()-base) / float64(n)
+				for range 300 {
+					e.Step()
+					e.Errors()
+				}
+				steady += float64(liveHeap()-base) / float64(n)
+				e.Close()
+			}
+			b.ReportMetric(setup/float64(b.N), "B/node-setup")
+			b.ReportMetric(steady/float64(b.N), "B/node-300rounds")
 		})
 	}
 }

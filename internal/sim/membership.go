@@ -426,16 +426,23 @@ func (e *Engine) teardownPair(i, j int) {
 }
 
 // syncExchange performs one immediate protocol send from i to j — the
-// sequential-model delivery discipline — as part of an edge resync.
+// sequential-model delivery discipline — as part of an edge resync. The
+// message is dispatched at once, so one engine-owned message serves
+// every resync; a pooled one would miss in the pools that data sends
+// (which use slots) no longer fill.
 func (e *Engine) syncExchange(i, j int) {
-	m := e.getMsg(e.owner(i))
+	ss, w := e.shard, e.width
+	if len(ss.syncFlows) != 2*w {
+		ss.syncFlows = make([]float64, 2*w)
+	}
+	m := &ss.syncMsg
+	pointFlows(m, ss.syncFlows, w)
 	if f, ok := e.protos[i].(gossip.MessageFiller); ok {
 		f.FillMessage(j, m)
 	} else {
 		*m = e.protos[i].MakeMessage(j)
 	}
 	e.dispatch(j, m)
-	e.putMsg(e.owner(j), m)
 }
 
 func containsID(list []int32, id int) bool {

@@ -43,13 +43,15 @@ type roundPin struct {
 }
 
 // pinScenario is one seeded run: an interceptor or detector plus the
-// shared fault and churn schedule, ended by a Drain. A dense scenario
-// runs on complete(40) under densePinPlan instead of randreg(32,3).
+// shared fault and churn schedule and any extra events, ended by a
+// Drain. A dense scenario runs on complete(40) under densePinPlan
+// instead of randreg(32,3).
 type pinScenario struct {
 	name   string
 	detect bool
 	dense  bool
 	ic     func() sim.Interceptor
+	extra  []fault.Event
 }
 
 var pinScenarios = []pinScenario{
@@ -57,6 +59,11 @@ var pinScenarios = []pinScenario{
 	{name: "duplicate", ic: func() sim.Interceptor { return fault.NewDuplicate(0.2, 3) }},
 	{name: "reorder", ic: func() sim.Interceptor { return fault.NewReorder(0.2, 5) }},
 	{name: "dense-detector-churn", detect: true, dense: true},
+	// Nodes 4 and 11 hang for 6 and 8 rounds while their neighbours keep
+	// sending, so messages queue past the round after they were sent.
+	{name: "hang-resume", extra: append(fault.NodeOutage(25, 31, 4), fault.NodeOutage(26, 34, 11)...)},
+	// Bounded flips mutate the in-flight message in place.
+	{name: "bitflip", ic: func() sim.Interceptor { return fault.NewBoundedBitFlip(0.05, 9) }},
 }
 
 var pinProtocols = []struct {
@@ -120,6 +127,7 @@ func runPinScenario(t *testing.T, sc pinScenario, mk func() gossip.Protocol, sha
 	if sc.dense {
 		g, plan = topology.Complete(40), densePinPlan()
 	}
+	plan.Add(sc.extra...)
 	n := g.N()
 	protos := make([]gossip.Protocol, n)
 	inputs := make([]float64, n)
@@ -150,6 +158,9 @@ func runPinScenario(t *testing.T, sc pinScenario, mk func() gossip.Protocol, sha
 	for r := 0; r < 120; r++ {
 		plan.OnRound(e, e.Round())
 		e.Step()
+		if err := e.CheckSlots(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e.Drain()
 
@@ -168,6 +179,8 @@ func runPinScenario(t *testing.T, sc pinScenario, mk func() gossip.Protocol, sha
 		pin.Injected = ic.Dups
 	case *fault.Reorder:
 		pin.Injected = ic.Swaps
+	case *fault.BitFlip:
+		pin.Injected = ic.Flips
 	}
 	raw, err := json.Marshal(rec.Counters())
 	if err != nil {
@@ -200,7 +213,8 @@ func stateDigest(st gossip.State) string {
 // TestRoundModelsPinned pins both round models — the sequential engine
 // and a two-shard cache-aware engine — across refactors of the shared
 // executor: detector keepalives and probes over a silent outage, bare
-// Replicator and Injector interceptors, joins, leaves, rewires, flushed
+// Replicator and Injector interceptors, an in-place bit flip, hung
+// nodes that resume, joins, leaves, rewires, flushed
 // link failures, notified crashes and the final Drain, for PF, both PCF
 // variants, FU and push-sum, on a sparse graph and on a dense one whose
 // edge lookups go through the id map. Run with -update-pin only when

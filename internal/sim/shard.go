@@ -2,9 +2,9 @@ package sim
 
 // The round executor, shared by both round models.
 //
-// Every engine holds one shardState: the node shards, their message free
-// lists, outbox buckets, keepalive counters, staged trace events and
-// error-scan scratch. A sequential engine (no WithShards/WithPartition)
+// Every engine holds one shardState: the node shards, the message slots,
+// the shards' message free lists, outbox buckets, keepalive counters,
+// staged trace events and error-scan scratch. A sequential engine (no WithShards/WithPartition)
 // has one shard holding every node; WithShards(P) or WithPartition
 // switches to the *phase-split* model, designed to parallelize across P
 // node shards while producing byte-identical results for every shard
@@ -55,6 +55,25 @@ package sim
 // add a serial pass after delivery (interceptRound) over inboxes in
 // ascending destination id, each in its ascending-source arrival order —
 // node-id keys, so the call sequence is the same for every P and layout.
+//
+// Messages need no allocator on the data path, because every live node
+// sends exactly one data message per round. Node i writes the message
+// it sends in round r into engine-owned slot 2i + r mod 2 (slots, with
+// the flows in one flat float array, built on the first Step). The
+// lifetime rule: a slot is read no later than its receiver's activation
+// in round r+1 — the sequential model reads it at the receiver's next
+// activation, in round r or r+1, the phase-split model in round r+1 —
+// and its sender rewrites it in round r+2, so the two parities never
+// collide, and phase 1 of round r+1, which writes the other parity,
+// runs beside no reader of the slot it writes. Whatever would hold a
+// message longer takes a pooled copy (hold): delivery to a hung
+// receiver, and HangNode with a non-empty inbox. An interceptor must
+// not keep the pointer past Intercept (fault.Reorder clones what it
+// holds back), nor a protocol the flow slices past Receive. The
+// per-shard free lists serve only what is not one message per sender
+// per round: keepalives and probes, Replicator and Injector copies,
+// held copies and Restore's in-flight messages. putMsg never pools a
+// slot; teardownPair's resync uses one engine-owned message.
 //
 // Parallelism uses a persistent worker pool: the first parallel round
 // starts P−1 worker goroutines, worker k−1 serving shard k; each fan-out
@@ -166,6 +185,15 @@ type shardState struct {
 
 	surplus []*gossip.Message // rebalancePools scratch
 
+	// slots holds the data messages: node i's send of round r lives in
+	// slots[2i + r mod 2], its two flows in the 2·width floats of
+	// slotFlows at the same index. Built on the first Step (ensureSlots).
+	slots     []gossip.Message
+	slotFlows []float64
+
+	syncMsg   gossip.Message // syncExchange's message
+	syncFlows []float64      // its flow backing
+
 	// phase1Task, deliverTask, errorsTask and observeTask are the bound
 	// method values handed to runShards. Bound once at init: creating a
 	// method value or closure at the call site would heap-allocate per
@@ -191,7 +219,7 @@ const cacheLine = 64
 // these concurrently, so two shards' copies must never share a cache
 // line — see shardLocal.
 type shardWrites struct {
-	pool []*gossip.Message // message free list
+	pool []*gossip.Message // free list of the messages that are not data sends
 
 	// bucket[d] holds this shard's sends to destinations owned by shard
 	// d, in emission (ascending source id) order — the routed form that
@@ -745,11 +773,12 @@ func (e *Engine) deliverShard(d int) {
 
 // routeDeliver applies the send-path semantics (link-failure table,
 // silencing, crash check, per-link loss) to one message of delivery
-// task d. Dropped messages recycle into the task's own free list — the
-// pool the message would have been drained into had it been delivered —
-// so pool occupancy stays P-independent with no cross-task traffic.
-// With an interceptor installed, delivery is provisional: interceptRound
-// decides and counts each arrival's fate.
+// task d. Dropped pooled messages recycle into the task's own free list
+// — the pool the message would have been drained into had it been
+// delivered — so pool occupancy stays P-independent with no cross-task
+// traffic. A slot bound for a hung node is queued as a pooled copy
+// (hold). With an interceptor installed, delivery is provisional:
+// interceptRound decides and counts each arrival's fate.
 func (e *Engine) routeDeliver(msg *gossip.Message, d int) {
 	// Per-link heterogeneous loss (drawn only for reachable messages):
 	// each directed link draws from its own splitmix64 stream, touched
@@ -763,6 +792,9 @@ func (e *Engine) routeDeliver(msg *gossip.Message, d int) {
 	}
 	if e.interceptor == nil {
 		e.rec.Bank(d).Inc(metrics.MsgsDelivered)
+	}
+	if e.hung[msg.To] {
+		msg = e.hold(msg, d)
 	}
 	e.inbox[msg.To] = append(e.inbox[msg.To], msg)
 }
@@ -817,11 +849,11 @@ func (e *Engine) flushShardEvents() {
 }
 
 // rebalancePools refills and evens out the per-shard free lists after
-// the merge. Messages recycle into their *destination* shard's pool, so
-// asymmetric cross-shard traffic slowly starves some pools while others
-// grow; a starved pool allocates a fresh message for every send.
-// Skimming the surplus above the mean back onto the poorer pools costs
-// a few pointer moves per round. Evening out alone is not enough: a
+// the merge. Pooled messages recycle into their *destination* shard's
+// pool, so asymmetric cross-shard traffic slowly starves some pools
+// while others grow; a starved pool allocates a fresh message for every
+// send. Skimming the surplus above the mean back onto the poorer pools
+// costs a few pointer moves per round. Evening out alone is not enough: a
 // round that missed anywhere (the first one, and any later round whose
 // deficit beat every earlier one) tops the pools up first, see
 // topUpPools. Pool identity never influences results (a reused message
@@ -868,10 +900,10 @@ func (e *Engine) rebalancePools() {
 
 // topUpPools adds poolHeadroom(len(shard)) fresh messages to every
 // shard's free list, each shard's batch carved out of one message array
-// and one flow backing array. A pool must cover its shard's sends that
-// come before the matching receipts in activation order: a walk over
-// the shard's m activations, one send against a random number of
-// receipts each, whose excursions scale with √m. Topping up only when a
+// and one flow backing array. A pool must cover its shard's pooled
+// sends (keepalives and probes, mostly) that come before the matching
+// receipts in activation order: a walk over the shard's m activations,
+// whose excursions scale with √m. Topping up only when a
 // round missed keeps the margin past the deepest excursion seen so far,
 // so a later miss needs a record excursion beyond it — in practice the
 // first round's top-up is the last allocation. The shard's routing

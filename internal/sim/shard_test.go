@@ -280,10 +280,10 @@ func TestShardConvergence(t *testing.T) {
 // at zero allocations on a two-shard engine whose phases really run on
 // the worker pool. Every task handed to runShards must be bound once at
 // set-up; a closure built per call escapes through the pool's task
-// channel. The free lists must cover every round after the first
-// without a miss, which is what rebalancePools' top-up is for: four
-// windows of Step are counted, not one, and one more with a timing-off
-// recorder attached.
+// channel. Data messages live in the engine's message slots, built on
+// the first Step, so no round after it may allocate one: four windows
+// of Step are counted, not one, and one more with a timing-off recorder
+// attached.
 func TestShardedRoundAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	g := topology.Hypercube(8)
@@ -323,9 +323,10 @@ func TestShardedRoundAllocFree(t *testing.T) {
 		t.Errorf("Step with a timing-off recorder: %d allocs in 50 calls, want 0", a)
 	}
 	e.SetMetrics(nil)
-	// Messages recycled between rounds (Drain, FailLink's flush,
-	// CrashNode's purge) must return to the shard free lists the next
-	// round draws from, not be parked where no round reuses them.
+	// Between-round operations (Drain, FailLink's flush and resync,
+	// CrashNode's purge) must leave the next round nothing to allocate:
+	// FailLink's resync exchange uses the engine's own message, not a
+	// pooled one from free lists that data sends no longer fill.
 	for _, op := range []struct {
 		name string
 		f    func()

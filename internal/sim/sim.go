@@ -56,6 +56,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"unsafe"
 
 	"pcfreduce/internal/detect"
 	"pcfreduce/internal/gossip"
@@ -69,7 +70,9 @@ import (
 type Interceptor interface {
 	// Intercept is called once per message in the given round. Returning
 	// false drops the message. The message may be mutated in place to
-	// model corruption.
+	// model corruption. msg and its flow slices are engine storage that
+	// is rewritten two rounds later: an interceptor that holds a message
+	// back must keep a copy (msg.Clone()), never the pointer.
 	Intercept(round int, msg *gossip.Message) bool
 }
 
@@ -98,10 +101,12 @@ type Injector interface {
 
 // Engine drives a set of protocol instances over a topology in rounds.
 //
-// The steady-state round loop (Step + Errors) is allocation-free:
-// messages live in per-shard free lists and are recycled at
-// dispatch/drop time, protocols that implement gossip.MessageFiller and
-// gossip.Estimator fill pooled buffers instead of allocating, and all
+// The steady-state round loop (Step + Errors) is allocation-free: each
+// data message lives in its sender's round-parity slot, the rarer
+// messages (keepalives, probes, interceptor copies, restored in-flight
+// messages) in per-shard free lists recycled at dispatch/drop time (see
+// shard.go), protocols that implement gossip.MessageFiller and
+// gossip.Estimator fill engine buffers instead of allocating, and all
 // per-round scratch (activation permutation, error/median buffers,
 // oracle accumulators) is preallocated. Reset rewinds the engine for
 // the next trial without reconstructing any of it.
@@ -126,7 +131,7 @@ type Engine struct {
 	// destination shard's task (membership.go).
 	layout map[int][]int32 // protocol storage rows that diverged from the overlay (membership.go)
 
-	inbox    [][]*gossip.Message // pooled; recycled after dispatch
+	inbox    [][]*gossip.Message // slots or pooled messages; pooled ones recycled after dispatch
 	alive    []bool
 	dead     linkSet // failed links
 	silenced linkSet // silently dropping links (no notification)
@@ -304,9 +309,9 @@ func NewScalar(g *topology.Graph, protos []gossip.Protocol, inputs []float64, ag
 func (e *Engine) SetInterceptor(ic Interceptor) { e.interceptor = ic }
 
 // Reset rewinds the engine to round zero under a new schedule seed,
-// reusing every internal buffer (inboxes, message pool, scratch slices)
-// instead of reconstructing the engine — the per-trial reuse API of the
-// parallel sweep runner. After Reset(s) the engine behaves exactly like
+// reusing every internal buffer (inboxes, message slots and pools,
+// scratch slices) instead of reconstructing the engine — the per-trial
+// reuse API of the parallel sweep runner. After Reset(s) the engine behaves exactly like
 // a freshly constructed engine with seed s over the same graph,
 // protocols and current inputs: the RNG stream, activation permutation
 // state and protocol state are all restored, so reused and fresh
@@ -371,9 +376,10 @@ func (e *Engine) Reset(seed int64) {
 // reductions, keeping the graph, protocol state arrays, inboxes and
 // message pools allocated. The value width may differ from the previous
 // reduction (batched callers vary k); a width change invalidates the
-// pooled message backing, which is rebuilt lazily. After the call the
-// engine behaves exactly like a freshly constructed engine with the
-// given seed and inputs (the Reset bit-identical-to-fresh contract).
+// message slots and the pooled message backing, which are rebuilt
+// lazily. After the call the engine behaves exactly like a freshly
+// constructed engine with the given seed and inputs (the Reset
+// bit-identical-to-fresh contract).
 //
 // init must hold one value per base-graph node (like New; any nodes
 // joined mid-trial are dropped first, as with Reset), all of one width.
@@ -459,7 +465,9 @@ func (e *Engine) recomputeTargets() {
 }
 
 // getMsg takes a message off shard s's free list (or allocates a fresh
-// one with width-sized flow backing). Within a round only shard s's
+// one with width-sized flow backing) for what is not a data send: a
+// keepalive or probe, an interceptor's copy, a message held for a hung
+// receiver, a restored in-flight message. Within a round only shard s's
 // worker touches pool s; between rounds the engine is single-threaded.
 // Callers must fully overwrite its header fields; the flow slices
 // arrive reset to the engine width.
@@ -477,17 +485,72 @@ func (e *Engine) getMsg(s int) *gossip.Message {
 }
 
 // putMsg returns a message to shard s's free list, restoring its flow
-// slices to the engine width from their capacity. Messages whose
-// backing arrays cannot hold a full-width value (e.g. injector-
-// fabricated ones) are left to the garbage collector instead of
-// poisoning the pool.
+// slices to the engine width from their capacity. Slots stay with their
+// sender. Messages whose backing arrays cannot hold a full-width value
+// (e.g. injector-fabricated ones) are left to the garbage collector
+// instead of poisoning the pool.
 func (e *Engine) putMsg(s int, m *gossip.Message) {
-	if cap(m.Flow1.X) < e.width || cap(m.Flow2.X) < e.width {
+	if e.isSlot(m) || cap(m.Flow1.X) < e.width || cap(m.Flow2.X) < e.width {
 		return
 	}
 	m.Flow1.X = m.Flow1.X[:e.width]
 	m.Flow2.X = m.Flow2.X[:e.width]
 	e.shard.local[s].pool = append(e.shard.local[s].pool, m)
+}
+
+// ensureSlots builds the data-message slots on the first Step, grows
+// them once joins outnumber them and rebuilds them after a width change
+// (ResetWithInputs). A message still in flight in a replaced array is no
+// slot any more: it retires into the free list after dispatch like a
+// pooled one, and nothing writes the old array again.
+func (e *Engine) ensureSlots() {
+	ss := e.shard
+	n, w := len(e.protos), e.width
+	k := len(ss.slots)
+	if len(ss.slotFlows) != 2*w*k {
+		k = 0 // the width changed: rebuild at the new one
+	} else if 2*n <= k {
+		return
+	}
+	k = max(2*n, k+k/4) // a join grows the slots by a quarter, not by one
+	ss.slots = make([]gossip.Message, k)
+	ss.slotFlows = make([]float64, 2*w*k)
+}
+
+// dataSlot returns node i's data-message slot of the current round,
+// slot 2i + round mod 2, with its flows pointed afresh at the slot's own
+// backing: MakeMessage, or a FillMessage that truncates a flow, may have
+// left them pointing elsewhere or without capacity.
+func (e *Engine) dataSlot(i int) *gossip.Message {
+	k := 2*i + e.round&1
+	w := e.width
+	m := &e.shard.slots[k]
+	pointFlows(m, e.shard.slotFlows[2*k*w:2*(k+1)*w:2*(k+1)*w], w)
+	return m
+}
+
+// pointFlows aims m's two flows at the 2·w floats of f.
+func pointFlows(m *gossip.Message, f []float64, w int) {
+	m.Flow1.X = f[:w:w]
+	m.Flow2.X = f[w:]
+}
+
+// isSlot reports whether m is one of the current data-message slots.
+func (e *Engine) isSlot(m *gossip.Message) bool {
+	s := e.shard.slots
+	return len(s) > 0 &&
+		uintptr(unsafe.Pointer(m))-uintptr(unsafe.Pointer(&s[0])) < uintptr(len(s))*unsafe.Sizeof(s[0])
+}
+
+// hold returns what to queue in the inbox of a receiver that may keep
+// it past its next activation, a hung one: a slot, which its sender
+// rewrites two rounds after sending, is copied into a message from
+// shard s's free list.
+func (e *Engine) hold(m *gossip.Message, s int) *gossip.Message {
+	if e.isSlot(m) {
+		return e.cloneMsg(m, s)
+	}
+	return m
 }
 
 // owner returns the shard that owns node i: between rounds, messages
@@ -517,6 +580,7 @@ func (e *Engine) makeControl(from, to int, kind gossip.Kind, s int) *gossip.Mess
 // stepSharded instead (frozen inboxes, next-round delivery, per-node
 // RNG streams).
 func (e *Engine) Step() {
+	e.ensureSlots()
 	if !e.seq {
 		e.stepSharded()
 		return
@@ -531,11 +595,11 @@ func (e *Engine) Step() {
 // the round — the node body both models share: drain the inbox, run
 // the failure detector, push one message to a random live neighbor,
 // then send due keepalives and probes. s is the shard that owns the
-// nodes; a turn touches only node-local state plus shard s's block
-// (pool, outbox row, keepalive counter) and counter bank — the
-// invariant that lets phase 1 run shards in parallel. The loop lives
-// here rather than in the callers so the per-node path has no extra
-// call.
+// nodes; a turn touches only node-local state (its own message slot
+// included) plus shard s's block (pool, outbox row, keepalive counter)
+// and counter bank — the invariant that lets phase 1 run shards in
+// parallel. The loop lives here rather than in the callers so the
+// per-node path has no extra call.
 func (e *Engine) activate(ids []int32, s int) {
 	for _, i32 := range ids {
 		i := int(i32)
@@ -570,7 +634,7 @@ func (e *Engine) activate(ids []int32, s int) {
 			target := int(live[k])
 			e.noteSent(i, target)
 			e.rec.Bank(s).Inc(metrics.MsgsSent)
-			m := e.getMsg(s)
+			m := e.dataSlot(i)
 			if f, ok := p.(gossip.MessageFiller); ok {
 				f.FillMessage(target, m)
 			} else {
@@ -639,9 +703,9 @@ func (e *Engine) keepalive(i, j, s int) {
 }
 
 // drainInbox processes node i's inbox in index order (per-link FIFO),
-// recycling each message into shard s's free list right after dispatch
-// — receivers never retain message backing (protocols copy payloads
-// into their own state).
+// recycling each pooled message into shard s's free list right after
+// dispatch — receivers never retain message backing (protocols copy
+// payloads into their own state).
 func (e *Engine) drainInbox(i, s int) {
 	for k := 0; k < len(e.inbox[i]); k++ {
 		m := e.inbox[i][k]
@@ -694,14 +758,17 @@ func (e *Engine) heard(i, from int) {
 
 // send is the sequential model's immediate delivery: it routes msg
 // through the link-failure table and the interceptor into the
-// destination inbox. The engine owns msg (pooled): dropped messages are
-// recycled into shard s's free list immediately, delivered ones after
-// dispatch.
+// destination inbox. The engine owns msg (a slot or pooled): dropped
+// pooled messages are recycled into shard s's free list immediately,
+// delivered ones after dispatch.
 func (e *Engine) send(s int, msg *gossip.Message) {
 	if e.unreachable(msg) || (e.lossRates != nil && e.lossDrop(msg.From, msg.To)) {
 		e.rec.Bank(s).Inc(metrics.MsgsLost)
 		e.putMsg(s, msg)
 		return // broken, silenced or dead destination, or per-link loss
+	}
+	if e.hung[msg.To] {
+		msg = e.hold(msg, s)
 	}
 	if e.interceptor == nil {
 		e.rec.Bank(s).Inc(metrics.MsgsDelivered)
@@ -960,10 +1027,14 @@ func (e *Engine) CrashNodeSilent(i int) {
 // HangNode freezes node i: it stops being activated (no receives, no
 // sends) but is not dead — ResumeNode unfreezes it. Messages sent to a
 // hung node queue in its inbox and are processed on resume, modeling a
-// long GC pause or an overloaded host.
+// long GC pause or an overloaded host. Queued slots would outlive their
+// two-round lifetime, so they are swapped for pooled copies.
 func (e *Engine) HangNode(i int) {
 	if !e.hung[i] {
 		e.noteEvent(metrics.Event{Kind: metrics.EvNodeHang, Round: e.round, A: i, B: -1})
+		for k, m := range e.inbox[i] {
+			e.inbox[i][k] = e.hold(m, e.owner(i))
+		}
 	}
 	e.hung[i] = true
 }

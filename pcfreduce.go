@@ -300,6 +300,14 @@ func Reduce(inputs []float64, algo Algorithm, opt ReduceOptions) (ReduceResult, 
 		protos[i] = algo.NewNode()
 	}
 	e := sim.NewScalar(opt.Topology, protos, inputs, opt.Aggregate, opt.Seed, opt.engineOptions()...)
+	return runScalar(e, opt), nil
+}
+
+// runScalar runs a scalar reduction engine built from opt and closes
+// it: the loss interceptor, the metrics recorder and the scheduled link
+// failures and node crashes of opt apply alike to Reduce and
+// WeightedReduce. A crashed node reports NaN.
+func runScalar(e *sim.Engine, opt ReduceOptions) ReduceResult {
 	defer e.Close()
 	if opt.LossRate > 0 {
 		e.SetInterceptor(fault.NewLoss(opt.LossRate, opt.Seed+1))
@@ -336,7 +344,7 @@ func Reduce(inputs []float64, algo Algorithm, opt ReduceOptions) (ReduceResult, 
 		}
 		out.Estimates = append(out.Estimates, est[0])
 	}
-	return out, nil
+	return out
 }
 
 // engineOptions translates the sharding fields into engine options.
@@ -691,7 +699,8 @@ func Eigen(a *Matrix, algo Algorithm, opt EigenOptions) (EigenResult, error) {
 // WeightedReduce computes the weighted mean Σ wᵢ·xᵢ / Σ wᵢ of the
 // per-node inputs with the given positive per-node weights, using the
 // same gossip machinery as Reduce (node i contributes mass (wᵢ·xᵢ, wᵢ)).
-// The Aggregate field of opt is ignored.
+// The Aggregate field of opt is ignored; every other field acts as in
+// Reduce.
 func WeightedReduce(inputs, weights []float64, algo Algorithm, opt ReduceOptions) (ReduceResult, error) {
 	if opt.Topology == nil {
 		return ReduceResult{}, errors.New("pcfreduce: ReduceOptions.Topology is required")
@@ -708,6 +717,9 @@ func WeightedReduce(inputs, weights []float64, algo Algorithm, opt ReduceOptions
 	if !opt.Topology.IsConnected() {
 		return ReduceResult{}, errors.New("pcfreduce: topology must be connected")
 	}
+	if opt.Shards < 0 {
+		return ReduceResult{}, fmt.Errorf("pcfreduce: ReduceOptions.Shards is %d, want ≥ 0", opt.Shards)
+	}
 	applyReduceDefaults(&opt, n)
 	protos := make([]Protocol, n)
 	for i := range protos {
@@ -717,19 +729,6 @@ func WeightedReduce(inputs, weights []float64, algo Algorithm, opt ReduceOptions
 	for i := range init {
 		init[i] = gossip.Scalar(weights[i]*inputs[i], weights[i])
 	}
-	e := sim.New(opt.Topology, protos, init, opt.Seed)
-	if opt.LossRate > 0 {
-		e.SetInterceptor(fault.NewLoss(opt.LossRate, opt.Seed+1))
-	}
-	res := e.Run(sim.RunConfig{MaxRounds: opt.MaxRounds, Eps: opt.Eps, AfterRound: opt.Trace})
-	out := ReduceResult{
-		Exact:     e.Targets()[0],
-		Rounds:    res.Rounds,
-		Converged: res.Converged,
-		MaxError:  e.MaxError(),
-	}
-	for _, est := range e.Estimates() {
-		out.Estimates = append(out.Estimates, est[0])
-	}
-	return out, nil
+	e := sim.New(opt.Topology, protos, init, opt.Seed, opt.engineOptions()...)
+	return runScalar(e, opt), nil
 }

@@ -2,6 +2,9 @@ package pcfreduce_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"pcfreduce"
+	"pcfreduce/internal/metrics"
 )
 
 func inputsFor(g *pcfreduce.Graph) []float64 {
@@ -293,6 +297,116 @@ func TestWeightedReduce(t *testing.T) {
 	weights[2] = 0
 	if _, err := pcfreduce.WeightedReduce(inputs, weights, pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g}); err == nil {
 		t.Fatal("zero weight accepted")
+	}
+}
+
+// weightedDigest is the SHA-256 of a result's estimates, exact value,
+// round count, convergence flag and final error, bit for bit.
+func weightedDigest(r pcfreduce.ReduceResult) string {
+	var b []byte
+	for _, x := range append(r.Estimates, r.Exact, r.MaxError, float64(r.Rounds)) {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	if r.Converged {
+		b = append(b, 1)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestWeightedReduceOptions: WeightedReduce honours every ReduceOptions
+// field but Aggregate. With unit weights it computes Reduce's Average
+// from the same initial masses, so for each field the two must agree
+// bit for bit, recorder counters and trace calls included. Shards < 0
+// is rejected, a crashed node reports NaN, and the default sequential
+// run keeps the result it had when the sharding, metrics and fault
+// fields were still ignored (digest recorded then).
+func TestWeightedReduceOptions(t *testing.T) {
+	g := pcfreduce.Hypercube(4)
+	n := g.N()
+	in := inputsFor(g)
+	unit := make([]float64, n)
+	weights := make([]float64, n)
+	for i := range unit {
+		unit[i] = 1
+		weights[i] = float64(i%3) + 0.5
+	}
+	res, err := pcfreduce.WeightedReduce(in, weights, pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := weightedDigest(res), "d6ca85aa4709f5ae3feb9c0b0d4a77f8ba719f07319aa45720bf2d23641484c7"; got != want {
+		t.Errorf("Shards 0 weighted result changed: digest %s, want %s", got, want)
+	}
+	if _, err := pcfreduce.WeightedReduce(in, weights, pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, Shards: -1}); err == nil {
+		t.Error("Shards -1 accepted")
+	}
+
+	link := []pcfreduce.LinkFailure{{Round: 5, A: 0, B: 1}}
+	crash := []pcfreduce.NodeCrash{{Round: 5, Node: 3}}
+	rounds := map[string]int{}
+	for _, c := range []struct {
+		name string
+		opt  pcfreduce.ReduceOptions
+	}{
+		{"sequential", pcfreduce.ReduceOptions{}},
+		{"shards1", pcfreduce.ReduceOptions{Shards: 1}},
+		{"shards2", pcfreduce.ReduceOptions{Shards: 2}},
+		{"cacheaware", pcfreduce.ReduceOptions{Shards: 2, CacheAware: true}},
+		{"loss", pcfreduce.ReduceOptions{LossRate: 0.05}},
+		{"linkfailure", pcfreduce.ReduceOptions{LinkFailures: link}},
+		{"linkfailure-shards2", pcfreduce.ReduceOptions{Shards: 2, LinkFailures: link}},
+		{"nodecrash", pcfreduce.ReduceOptions{NodeCrashes: crash}},
+		{"nodecrash-shards2", pcfreduce.ReduceOptions{Shards: 2, NodeCrashes: crash}},
+		{"seed-eps-maxrounds", pcfreduce.ReduceOptions{Seed: 7, Eps: 1e-9, MaxRounds: 60}},
+		{"metrics", pcfreduce.ReduceOptions{Shards: 2, Metrics: pcfreduce.NewMetrics(pcfreduce.MetricsConfig{Shards: 2, Interval: 4})}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(reduce func(pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error)) (pcfreduce.ReduceResult, int, *pcfreduce.MetricsRecorder) {
+				opt := c.opt
+				opt.Topology = g
+				if opt.Metrics != nil {
+					opt.Metrics = pcfreduce.NewMetrics(pcfreduce.MetricsConfig{Shards: 2, Interval: 4})
+				}
+				traced := 0
+				opt.Trace = func(int, float64) { traced++ }
+				res, err := reduce(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, traced, opt.Metrics
+			}
+			want, wantTraced, wantRec := run(func(o pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error) {
+				return pcfreduce.Reduce(in, pcfreduce.PCF, o)
+			})
+			got, gotTraced, gotRec := run(func(o pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error) {
+				return pcfreduce.WeightedReduce(in, unit, pcfreduce.PCF, o)
+			})
+			if weightedDigest(got) != weightedDigest(want) {
+				t.Fatalf("WeightedReduce (%d rounds, err %.3e) differs from Reduce (%d rounds, err %.3e)",
+					got.Rounds, got.MaxError, want.Rounds, want.MaxError)
+			}
+			if gotTraced != wantTraced || gotTraced != got.Rounds {
+				t.Errorf("Trace called %d times, Reduce's %d, for %d rounds", gotTraced, wantTraced, got.Rounds)
+			}
+			if c.opt.NodeCrashes != nil && !math.IsNaN(got.Estimates[3]) {
+				t.Errorf("crashed node 3 reports %g, want NaN", got.Estimates[3])
+			}
+			if gotRec != nil {
+				gc, wc := gotRec.Counters(), wantRec.Counters()
+				if gc != wc || gc.Get(metrics.MsgsSent) == 0 {
+					t.Errorf("recorder counters %v, Reduce's %v", gc, wc)
+				}
+			}
+			rounds[c.name] = got.Rounds
+		})
+	}
+	// The sharded model and the faults change the run: were a field
+	// ignored, its case would repeat the sequential one.
+	for _, name := range []string{"shards1", "linkfailure", "nodecrash"} {
+		if rounds[name] == rounds["sequential"] {
+			t.Errorf("%s took %d rounds, as many as the sequential run: the option had no effect", name, rounds[name])
+		}
 	}
 }
 
