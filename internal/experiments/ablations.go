@@ -31,7 +31,7 @@ type SingleLossResult struct {
 func SingleLoss(algo Algorithm, dim, dropRound int, seed int64) SingleLossResult {
 	g := topology.Hypercube(dim)
 	inputs := UniformInputs(g.N(), seed)
-	e := sim0(g, algo.Protos(g.N()), inputs, seed)
+	e := newEngine(g, algo.Protos(g.N()), inputs, seed, engineSpec{})
 	dropped := false
 	e.SetInterceptor(sim.InterceptorFunc(func(round int, msg *gossip.Message) bool {
 		if !dropped && round == dropRound {
@@ -69,7 +69,7 @@ func Scaling(algos []Algorithm, minDim, maxDim int, eps float64, seed int64) []S
 		inputs := UniformInputs(g.N(), seed)
 		pt := ScalingPoint{Nodes: g.N(), RoundsToEps: map[string]int{}, ParallelSteps: dim}
 		for _, algo := range algos {
-			e := sim0(g, algo.Protos(g.N()), inputs, seed)
+			e := newEngine(g, algo.Protos(g.N()), inputs, seed, engineSpec{})
 			res := e.Run(simRunToEps(eps, 100*(dim+1)*10))
 			if res.Converged {
 				pt.RoundsToEps[algo.Name] = res.Rounds
@@ -121,8 +121,8 @@ func Equivalence(dim, rounds int, seed int64, dyadic bool, eps float64) Equivale
 	} else {
 		inputs = UniformInputs(n, seed)
 	}
-	ePF := sim0(g, PushFlow.Protos(n), inputs, seed)
-	ePCF := sim0(g, PCF.Protos(n), inputs, seed)
+	ePF := newEngine(g, PushFlow.Protos(n), inputs, seed, engineSpec{})
+	ePCF := newEngine(g, PCF.Protos(n), inputs, seed, engineSpec{})
 	out := EquivalenceResult{RoundsPF: -1, RoundsPCF: -1}
 	for r := 0; r < rounds; r++ {
 		ePF.Step()
@@ -167,7 +167,7 @@ func LossSweep(algos []Algorithm, rates []float64, dim int, eps float64, maxRoun
 	var out []LossSweepPoint
 	for _, algo := range algos {
 		for _, rate := range rates {
-			e := sim0(g, algo.Protos(g.N()), inputs, seed)
+			e := newEngine(g, algo.Protos(g.N()), inputs, seed, engineSpec{})
 			if rate > 0 {
 				e.SetInterceptor(fault.NewLoss(rate, seed+101))
 			}
@@ -213,7 +213,7 @@ type BitFlipResult struct {
 func BitFlips(algo Algorithm, dim int, rate float64, stormEnd, maxRounds int, eps float64, bounded bool, seed int64) BitFlipResult {
 	g := topology.Hypercube(dim)
 	inputs := UniformInputs(g.N(), seed)
-	e := sim0(g, algo.Protos(g.N()), inputs, seed)
+	e := newEngine(g, algo.Protos(g.N()), inputs, seed, engineSpec{})
 	flipper := fault.NewBitFlip(rate, seed+202)
 	flipper.Bounded = bounded
 	e.SetInterceptor(fault.Window(flipper, 0, stormEnd))
@@ -271,7 +271,7 @@ func Fragility(logN int, seed int64) []FragilityResult {
 
 	// Gossip (PCF, SUM): drop one message mid-run, run to the floor.
 	g := topology.Hypercube(logN)
-	e := sim.NewScalar(g, PCF.Protos(n), inputs, gossip.Sum, seed)
+	e := newEngine(g, PCF.Protos(n), inputs, seed, engineSpec{agg: gossip.Sum})
 	dropped := false
 	e.SetInterceptor(sim.InterceptorFunc(func(round int, msg *gossip.Message) bool {
 		if !dropped && round == 20 {

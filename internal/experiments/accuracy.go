@@ -141,7 +141,7 @@ func BusExample(algo Algorithm, n int, seed int64) (BusExampleResult, error) {
 		inputs[i] = 1
 	}
 	protos := algo.Protos(n)
-	e := sim0(g, protos, inputs, seed)
+	e := newEngine(g, protos, inputs, seed, engineSpec{})
 	res := e.Run(simRunToEps(1e-15, 500*n))
 	// Settle in-flight messages so flow conservation holds exactly when
 	// the flows are read back.

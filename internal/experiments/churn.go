@@ -137,11 +137,8 @@ func Churn(cfg ChurnConfig) ChurnResult {
 	}
 
 	inputs := UniformInputs(g.N(), cfg.Seed)
-	eOpts := []sim.EngineOption{sim.WithJoinFactory(cfg.Algorithm.New)}
-	if cfg.Shards > 0 {
-		eOpts = append(eOpts, sim.WithShards(cfg.Shards))
-	}
-	e := sim0(g, cfg.Algorithm.Protos(g.N()), inputs, cfg.Seed, eOpts...)
+	e := newEngine(g, cfg.Algorithm.Protos(g.N()), inputs, cfg.Seed, engineSpec{shards: cfg.Shards},
+		sim.WithJoinFactory(cfg.Algorithm.New))
 	defer e.Close()
 
 	res := e.Run(sim.RunConfig{
@@ -240,7 +237,7 @@ func LossBias(cfg LossBiasConfig) LossBiasResult {
 		plan.Add(fault.SetLinkLoss(cfg.Rounds, ev.A, ev.B, 0))
 	}
 	inputs := UniformInputs(g.N(), cfg.Seed)
-	e := sim0(g, cfg.Algorithm.Protos(g.N()), inputs, cfg.Seed)
+	e := newEngine(g, cfg.Algorithm.Protos(g.N()), inputs, cfg.Seed, engineSpec{})
 	target := e.Targets()[0]
 	e.Run(sim.RunConfig{MaxRounds: cfg.Rounds + settle, OnRound: plan.OnRound})
 	e.Drain()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pcfreduce/internal/detect"
-	"pcfreduce/internal/gossip"
 	"pcfreduce/internal/sim"
 	"pcfreduce/internal/topology"
 )
@@ -127,7 +126,7 @@ func DetectionTradeoff(cfg DetectionConfig) ([]DetectionPoint, error) {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed := cfg.Seed + int64(trial)
 			inputs := UniformInputs(cfg.Graph.N(), seed)
-			e := sim.NewScalar(cfg.Graph, cfg.Algo.Protos(cfg.Graph.N()), inputs, gossip.Average, seed,
+			e := newEngine(cfg.Graph, cfg.Algo.Protos(cfg.Graph.N()), inputs, seed, engineSpec{},
 				sim.WithDetector(sim.DetectorConfig{Detect: dc}))
 			detectedAt := make(map[int]int, len(neighbors))
 			e.Run(sim.RunConfig{

@@ -116,17 +116,34 @@ func (k TopologyKind) Build(logSide int) *topology.Graph {
 // runToFloor runs a reduction until its accuracy floor: stop when the
 // maximal error stops improving for stall rounds (or maxRounds).
 func runToFloor(g *topology.Graph, algo Algorithm, inputs []float64, agg gossip.Aggregate, seed int64, maxRounds, stall int) sim.Result {
-	e := sim.NewScalar(g, algo.Protos(g.N()), inputs, agg, seed)
+	e := newEngine(g, algo.Protos(g.N()), inputs, seed, engineSpec{agg: agg})
 	return e.Run(sim.RunConfig{MaxRounds: maxRounds, StallRounds: stall})
 }
 
 // errNoFlows reports an algorithm that does not expose per-edge flows.
 var errNoFlows = errors.New("experiments: algorithm does not implement gossip.Flows")
 
-// sim0 builds an averaging engine over scalar inputs with pre-built
-// protocol instances (so callers can inspect them afterwards).
-func sim0(g *topology.Graph, protos []gossip.Protocol, inputs []float64, seed int64, opts ...sim.EngineOption) *sim.Engine {
-	return sim.NewScalar(g, protos, inputs, gossip.Average, seed, opts...)
+// engineSpec selects what newEngine builds beyond the graph, protocols,
+// inputs and seed. The zero value is an averaging engine on the
+// sequential model.
+type engineSpec struct {
+	agg        gossip.Aggregate // initial weights of the scalar inputs
+	shards     int              // > 0: the phase-split model on that many shards
+	cacheAware bool             // with shards: topology.CacheAware's layout
+}
+
+// newEngine is the package's one engine constructor: scalar inputs over
+// pre-built protocol instances (so callers can inspect them afterwards),
+// laid out as spec says, plus any further engine options (detector,
+// join factory).
+func newEngine(g *topology.Graph, protos []gossip.Protocol, inputs []float64, seed int64, spec engineSpec, opts ...sim.EngineOption) *sim.Engine {
+	switch {
+	case spec.shards > 0 && spec.cacheAware:
+		opts = append(opts, sim.WithPartition(topology.CacheAware(g, spec.shards)))
+	case spec.shards > 0:
+		opts = append(opts, sim.WithShards(spec.shards))
+	}
+	return sim.NewScalar(g, protos, inputs, spec.agg, seed, opts...)
 }
 
 // simRunToEps is the standard run-to-target configuration.

@@ -79,7 +79,7 @@ func Failure(cfg FailureConfig) FailureResult {
 		ev = fault.AbruptLinkFailure(cfg.FailAt, cfg.LinkA, cfg.LinkB)
 	}
 	plan := fault.NewPlan(ev)
-	e := sim0(g, cfg.Algorithm.Protos(g.N()), inputs, cfg.Seed)
+	e := newEngine(g, cfg.Algorithm.Protos(g.N()), inputs, cfg.Seed, engineSpec{})
 	if cfg.Metrics != nil {
 		e.SetMetrics(cfg.Metrics)
 	}
@@ -137,7 +137,7 @@ func NodeCrash(algo Algorithm, dim, crashAt, rounds, node int, seed int64) NodeC
 	g := topology.Hypercube(dim)
 	inputs := UniformInputs(g.N(), seed)
 	plan := fault.NewPlan(fault.NodeCrash(crashAt, node))
-	e := sim0(g, algo.Protos(g.N()), inputs, seed)
+	e := newEngine(g, algo.Protos(g.N()), inputs, seed, engineSpec{})
 	original := e.Targets()[0]
 	res := e.Run(sim.RunConfig{MaxRounds: rounds, Record: true, OnRound: plan.OnRound})
 	out := NodeCrashResult{Series: res.Series, ErrFinalVsSurvivors: res.Series.FinalMax()}

@@ -33,7 +33,7 @@ func Monitoring(algo Algorithm, dim int, rounds, updateEvery int, lossRate float
 	g := topology.Hypercube(dim)
 	n := g.N()
 	inputs := UniformInputs(n, seed)
-	e := sim0(g, algo.Protos(n), inputs, seed)
+	e := newEngine(g, algo.Protos(n), inputs, seed, engineSpec{})
 	if lossRate > 0 {
 		e.SetInterceptor(fault.NewLoss(lossRate, seed+11))
 	}

@@ -131,8 +131,7 @@ func RecoveryComparison(cfg RecoveryConfig) ([]RecoveryPoint, error) {
 	for _, algo := range cfg.Algorithms {
 		for _, st := range strategies {
 			inputs := UniformInputs(cfg.Graph.N(), cfg.Seed)
-			e := sim0(cfg.Graph, algo.Protos(cfg.Graph.N()), inputs, cfg.Seed,
-				sim.WithShards(cfg.Shards),
+			e := newEngine(cfg.Graph, algo.Protos(cfg.Graph.N()), inputs, cfg.Seed, engineSpec{shards: cfg.Shards},
 				sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: cfg.DetectTimeout}}))
 			rec := metrics.New(metrics.Config{Shards: cfg.Shards, Interval: cfg.MaxRounds + 1})
 			e.SetMetrics(rec)

@@ -68,8 +68,8 @@ func TestSweepKillAndResume(t *testing.T) {
 	const idx = 2
 	g := base.Topologies[0].Graph
 	inputs := UniformInputs(g.N(), deriveSeed(base.RootSeed, inputStreamTag|0))
-	e := sim0(g, base.Algorithms[0].Protos(g.N()), inputs,
-		deriveSeed(base.RootSeed, uint64(idx)), sim.WithShards(base.Shards))
+	e := newEngine(g, base.Algorithms[0].Protos(g.N()), inputs,
+		deriveSeed(base.RootSeed, uint64(idx)), engineSpec{shards: base.Shards})
 	ckptPath := filepath.Join(dir, "trial_00002.ckpt")
 	e.Run(sim.RunConfig{
 		MaxRounds:       40, // killed well before the full 80 rounds

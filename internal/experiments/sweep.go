@@ -319,15 +319,8 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 					e.Reset(seed)
 				} else {
 					tp := cfg.Topologies[jb.ti]
-					var opts []sim.EngineOption
-					if cfg.Shards > 0 {
-						if cfg.CacheAware {
-							opts = append(opts, sim.WithPartition(topology.CacheAware(tp.Graph, cfg.Shards)))
-						} else {
-							opts = append(opts, sim.WithShards(cfg.Shards))
-						}
-					}
-					e = sim0(tp.Graph, cfg.Algorithms[jb.ai].Protos(tp.Graph.N()), inputs[jb.ti], seed, opts...)
+					e = newEngine(tp.Graph, cfg.Algorithms[jb.ai].Protos(tp.Graph.N()), inputs[jb.ti], seed,
+						engineSpec{shards: cfg.Shards, cacheAware: cfg.CacheAware})
 					engines[cell] = e
 				}
 				var resume *sim.RunState

@@ -152,15 +152,17 @@ type Reintegrator interface {
 
 // MessageFiller is an optional Protocol extension for allocation-free
 // engines: instead of returning a freshly allocated Message, the
-// protocol fills an engine-owned one in place. The engine pre-sets
-// From, To, Kind (KindData) and zeroes C and R; the protocol overwrites
-// the payload fields it uses. FillMessage must be numerically identical
-// to MakeMessage — same state transition, bit-identical wire contents —
-// and must leave any unused flow truncated to zero width
-// (msg.FlowN.X = msg.FlowN.X[:0], W = 0) so that width checks and
-// bit-flip injectors observe exactly the shape MakeMessage produces.
-// The engine message's flow backing arrays have the engine's value
-// width; protocols reuse them via Value.Set / Value.CopyFrom.
+// protocol fills an engine-owned one in place. The engine reuses its
+// messages without resetting them, so FillMessage sets every field
+// itself — From, To, Kind (KindData), C and R (zero where unused) and
+// both flows — whatever the message held before. FillMessage must be
+// numerically identical to MakeMessage — same state transition,
+// bit-identical wire contents — and must leave any unused flow
+// truncated to zero width (msg.FlowN.X = msg.FlowN.X[:0], W = 0) so
+// that width checks and bit-flip injectors observe exactly the shape
+// MakeMessage produces. The engine message's flow backing arrays have
+// the engine's value width; protocols reuse them via Value.Set /
+// Value.CopyFrom.
 type MessageFiller interface {
 	FillMessage(target int, msg *Message)
 }

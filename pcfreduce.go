@@ -183,6 +183,14 @@ func (a Algorithm) String() string {
 	}
 }
 
+// check rejects a value that names none of the built-in algorithms.
+func (a Algorithm) check() error {
+	if a < PCF || a > FlowUpdating {
+		return fmt.Errorf("pcfreduce: unknown algorithm %v", a)
+	}
+	return nil
+}
+
 // NewNode constructs one protocol instance (one per network node).
 func (a Algorithm) NewNode() Protocol {
 	switch a {
@@ -214,14 +222,14 @@ type ReduceOptions struct {
 	// Seed makes the randomized schedule reproducible (default 1).
 	Seed int64
 	// LossRate, when > 0, drops each message independently with this
-	// probability (seeded).
+	// probability (seeded); it must lie in [0, 1].
 	LossRate float64
-	// LinkFailures schedules permanent link failures: at the given
-	// round both endpoints are notified and stop using the link.
+	// LinkFailures schedules permanent failures of topology edges: at the
+	// given round (≥ 0) both endpoints are notified and stop using it.
 	LinkFailures []LinkFailure
-	// NodeCrashes schedules permanent node failures: all the node's
-	// links fail and it stops participating. The reported Exact value
-	// and errors then refer to the aggregate over the survivors.
+	// NodeCrashes schedules permanent node failures: at the given round
+	// (≥ 0) the node's links fail and it stops participating. Exact and
+	// the errors then refer to the aggregate over the survivors.
 	NodeCrashes []NodeCrash
 	// Trace, when non-nil, is called after every round with the 1-based
 	// number of the completed round and the maximal relative local
@@ -280,71 +288,146 @@ type ReduceResult struct {
 // Reduce runs a gossip reduction of the per-node inputs over the given
 // topology in the deterministic round simulator and returns every node's
 // final estimate. len(inputs) must equal the topology's node count.
+// Invalid options are rejected with an error.
 func Reduce(inputs []float64, algo Algorithm, opt ReduceOptions) (ReduceResult, error) {
-	if opt.Topology == nil {
-		return ReduceResult{}, errors.New("pcfreduce: ReduceOptions.Topology is required")
-	}
-	n := opt.Topology.N()
-	if len(inputs) != n {
-		return ReduceResult{}, fmt.Errorf("pcfreduce: %d inputs for %d nodes", len(inputs), n)
-	}
-	if !opt.Topology.IsConnected() {
-		return ReduceResult{}, errors.New("pcfreduce: topology must be connected")
-	}
-	if opt.Shards < 0 {
-		return ReduceResult{}, fmt.Errorf("pcfreduce: ReduceOptions.Shards is %d, want ≥ 0", opt.Shards)
-	}
-	applyReduceDefaults(&opt, n)
-	protos := make([]Protocol, n)
-	for i := range protos {
-		protos[i] = algo.NewNode()
-	}
-	e := sim.NewScalar(opt.Topology, protos, inputs, opt.Aggregate, opt.Seed, opt.engineOptions()...)
-	return runScalar(e, opt), nil
+	return reduceScalar(algo, opt, len(inputs), scalars(inputs, opt.Aggregate))
 }
 
-// runScalar runs a scalar reduction engine built from opt and closes
-// it: the loss interceptor, the metrics recorder and the scheduled link
-// failures and node crashes of opt apply alike to Reduce and
-// WeightedReduce. A crashed node reports NaN.
-func runScalar(e *sim.Engine, opt ReduceOptions) ReduceResult {
-	defer e.Close()
+// reduceScalar is reduce's width-1 case, reported as a ReduceResult.
+func reduceScalar(algo Algorithm, opt ReduceOptions, inputs int, mass func(i int) Value) (ReduceResult, error) {
+	res, err := reduce(algo, opt, inputs, mass)
+	if err != nil {
+		return ReduceResult{}, err
+	}
+	est := make([]float64, len(res.Estimates))
+	for i, row := range res.Estimates {
+		est[i] = row[0]
+	}
+	return ReduceResult{Estimates: est, Exact: res.Exact[0], Rounds: res.Rounds, Converged: res.Converged, MaxError: res.MaxError}, nil
+}
+
+// scalars is the initial mass of scalar inputs under agg.
+func scalars(inputs []float64, agg Aggregate) func(i int) Value {
+	return func(i int) Value { return gossip.Scalar(inputs[i], agg.InitialWeight(i)) }
+}
+
+// checkInputs is the check every entry point shares: a known algorithm
+// and aggregate, and a connected topology with one input per node.
+func checkInputs(algo Algorithm, agg Aggregate, g *Graph, inputs int) error {
+	if err := algo.check(); err != nil {
+		return err
+	}
+	switch {
+	case agg != Sum && agg != Average:
+		return fmt.Errorf("pcfreduce: unknown aggregate %d", int(agg))
+	case g == nil || g.N() == 0:
+		return errors.New("pcfreduce: Topology with at least one node is required")
+	case inputs != g.N():
+		return fmt.Errorf("pcfreduce: %d inputs for %d nodes", inputs, g.N())
+	case !g.IsConnected():
+		return errors.New("pcfreduce: topology must be connected")
+	}
+	return nil
+}
+
+// validate reports the first field of opt that a run of algo over the
+// given number of inputs cannot honour. Whatever it accepts runs
+// without a panic.
+func (opt *ReduceOptions) validate(algo Algorithm, inputs int) error {
+	if err := checkInputs(algo, opt.Aggregate, opt.Topology, inputs); err != nil {
+		return err
+	}
+	switch {
+	case !(opt.Eps >= 0):
+		return fmt.Errorf("pcfreduce: ReduceOptions.Eps is %g, want ≥ 0", opt.Eps)
+	case opt.MaxRounds < 0:
+		return fmt.Errorf("pcfreduce: ReduceOptions.MaxRounds is %d, want ≥ 0", opt.MaxRounds)
+	case !(opt.LossRate >= 0 && opt.LossRate <= 1):
+		return fmt.Errorf("pcfreduce: ReduceOptions.LossRate is %g, want in [0, 1]", opt.LossRate)
+	case opt.Shards < 0:
+		return fmt.Errorf("pcfreduce: ReduceOptions.Shards is %d, want ≥ 0", opt.Shards)
+	}
+	n := opt.Topology.N()
+	node := func(i int) bool { return i >= 0 && i < n }
+	for _, lf := range opt.LinkFailures {
+		if lf.Round < 0 || !node(lf.A) || !node(lf.B) || !opt.Topology.HasEdge(lf.A, lf.B) {
+			return fmt.Errorf("pcfreduce: link failure %+v needs a round ≥ 0 and an edge of the topology", lf)
+		}
+	}
+	for _, nc := range opt.NodeCrashes {
+		if nc.Round < 0 || !node(nc.Node) {
+			return fmt.Errorf("pcfreduce: node crash %+v needs a round ≥ 0 and a node in [0, %d)", nc, n)
+		}
+	}
+	return nil
+}
+
+// build validates opt for a run of algo over the given number of
+// inputs, fills its defaults and builds the engine with its loss
+// interceptor; node i starts with mass(i), called only once opt is
+// valid. Every simulator run of this package starts here.
+func build(algo Algorithm, opt *ReduceOptions, inputs int, mass func(i int) Value) (*sim.Engine, error) {
+	if err := opt.validate(algo, inputs); err != nil {
+		return nil, err
+	}
+	applyReduceDefaults(opt, inputs)
+	protos := make([]Protocol, inputs)
+	init := make([]Value, inputs)
+	for i := range protos {
+		protos[i] = algo.NewNode()
+		init[i] = mass(i)
+	}
+	e := sim.New(opt.Topology, protos, init, opt.Seed, opt.engineOptions()...)
 	if opt.LossRate > 0 {
 		e.SetInterceptor(fault.NewLoss(opt.LossRate, opt.Seed+1))
 	}
+	return e, nil
+}
+
+// reduce is the one run path of Reduce, ReduceBatch and WeightedReduce,
+// so every field of opt applies to all three alike. A crashed node's
+// row is NaN, so rows still line up with node ids.
+func reduce(algo Algorithm, opt ReduceOptions, inputs int, mass func(i int) Value) (BatchResult, error) {
+	e, err := build(algo, &opt, inputs, mass)
+	if err != nil {
+		return BatchResult{}, err
+	}
+	defer e.Close()
 	if opt.Metrics != nil {
 		e.SetMetrics(opt.Metrics)
 	}
-	var events []fault.Event
+	plan := fault.NewPlan()
 	for _, lf := range opt.LinkFailures {
-		events = append(events, fault.LinkFailure(lf.Round, lf.A, lf.B))
+		plan.Add(fault.LinkFailure(lf.Round, lf.A, lf.B))
 	}
 	for _, nc := range opt.NodeCrashes {
-		events = append(events, fault.NodeCrash(nc.Round, nc.Node))
+		plan.Add(fault.NodeCrash(nc.Round, nc.Node))
 	}
-	plan := fault.NewPlan(events...)
 	res := e.Run(sim.RunConfig{
 		MaxRounds:  opt.MaxRounds,
 		Eps:        opt.Eps,
 		OnRound:    plan.OnRound,
 		AfterRound: opt.Trace,
 	})
-	out := ReduceResult{
-		Exact:     e.Targets()[0],
+	out := BatchResult{
+		Exact:     append([]float64(nil), e.Targets()...),
 		Rounds:    res.Rounds,
 		Converged: res.Converged,
 		MaxError:  e.MaxError(),
 	}
-	for _, est := range e.Estimates() {
-		if est == nil {
-			// Crashed node: it has no estimate; report NaN in its slot
-			// so indices still line up with node ids.
-			out.Estimates = append(out.Estimates, math.NaN())
-			continue
+	ests := e.Estimates()
+	k := len(out.Exact)
+	flat := make([]float64, len(ests)*k)
+	out.Estimates = make([][]float64, len(ests))
+	for i, est := range ests {
+		row := flat[i*k : (i+1)*k : (i+1)*k]
+		for c := range row {
+			row[c] = math.NaN() // kept where a crashed node has no estimate
 		}
-		out.Estimates = append(out.Estimates, est[0])
+		copy(row, est)
+		out.Estimates[i] = row
 	}
-	return out
+	return out, nil
 }
 
 // engineOptions translates the sharding fields into engine options.
@@ -393,81 +476,19 @@ type BatchResult struct {
 // inputs[i], a vector of k values, and every round's messages carry all
 // k components, so the whole batch converges in the rounds one scalar
 // reduction takes instead of k times that. All input vectors must share
-// one width k ≥ 1. With k = 1 the run is bit-identical to Reduce on the
-// corresponding scalars. Faults, sharding and metrics options apply
-// exactly as in Reduce.
+// one width k ≥ 1. ReduceBatch runs on the same path as Reduce, so every
+// option applies exactly as there and invalid ones are rejected alike;
+// with k = 1 the run is bit-identical to Reduce on the corresponding
+// scalars.
 func ReduceBatch(inputs [][]float64, algo Algorithm, opt ReduceOptions) (BatchResult, error) {
-	if opt.Topology == nil {
-		return BatchResult{}, errors.New("pcfreduce: ReduceOptions.Topology is required")
-	}
-	n := opt.Topology.N()
-	if len(inputs) != n {
-		return BatchResult{}, fmt.Errorf("pcfreduce: %d inputs for %d nodes", len(inputs), n)
-	}
-	k := len(inputs[0])
-	if k < 1 {
-		return BatchResult{}, errors.New("pcfreduce: ReduceBatch needs width ≥ 1")
-	}
 	for i, v := range inputs {
-		if len(v) != k {
-			return BatchResult{}, fmt.Errorf("pcfreduce: input %d has width %d, want %d", i, len(v), k)
+		if len(v) < 1 || len(v) != len(inputs[0]) {
+			return BatchResult{}, fmt.Errorf("pcfreduce: input %d has width %d, want one width ≥ 1 for all", i, len(v))
 		}
 	}
-	if !opt.Topology.IsConnected() {
-		return BatchResult{}, errors.New("pcfreduce: topology must be connected")
-	}
-	if opt.Shards < 0 {
-		return BatchResult{}, fmt.Errorf("pcfreduce: ReduceOptions.Shards is %d, want ≥ 0", opt.Shards)
-	}
-	applyReduceDefaults(&opt, n)
-	protos := make([]Protocol, n)
-	init := make([]Value, n)
-	for i := range protos {
-		protos[i] = algo.NewNode()
-		init[i] = Value{X: append([]float64(nil), inputs[i]...), W: opt.Aggregate.InitialWeight(i)}
-	}
-	e := sim.New(opt.Topology, protos, init, opt.Seed, opt.engineOptions()...)
-	defer e.Close()
-	if opt.LossRate > 0 {
-		e.SetInterceptor(fault.NewLoss(opt.LossRate, opt.Seed+1))
-	}
-	if opt.Metrics != nil {
-		e.SetMetrics(opt.Metrics)
-	}
-	var events []fault.Event
-	for _, lf := range opt.LinkFailures {
-		events = append(events, fault.LinkFailure(lf.Round, lf.A, lf.B))
-	}
-	for _, nc := range opt.NodeCrashes {
-		events = append(events, fault.NodeCrash(nc.Round, nc.Node))
-	}
-	plan := fault.NewPlan(events...)
-	res := e.Run(sim.RunConfig{
-		MaxRounds:  opt.MaxRounds,
-		Eps:        opt.Eps,
-		OnRound:    plan.OnRound,
-		AfterRound: opt.Trace,
+	return reduce(algo, opt, len(inputs), func(i int) Value {
+		return Value{X: append([]float64(nil), inputs[i]...), W: opt.Aggregate.InitialWeight(i)}
 	})
-	out := BatchResult{
-		Exact:     append([]float64(nil), e.Targets()...),
-		Rounds:    res.Rounds,
-		Converged: res.Converged,
-		MaxError:  e.MaxError(),
-	}
-	for _, est := range e.Estimates() {
-		if est == nil {
-			// Crashed node: report NaNs in its slot so indices still
-			// line up with node ids.
-			nan := make([]float64, k)
-			for c := range nan {
-				nan[c] = math.NaN()
-			}
-			out.Estimates = append(out.Estimates, nan)
-			continue
-		}
-		out.Estimates = append(out.Estimates, append([]float64(nil), est...))
-	}
-	return out, nil
 }
 
 // ConcurrentOptions configures ReduceConcurrent.
@@ -498,12 +519,8 @@ type ConcurrentOptions struct {
 // (and permanently corrupt PushSum — by design, that is the trade-off
 // the paper describes).
 func ReduceConcurrent(ctx context.Context, inputs []float64, algo Algorithm, opt ConcurrentOptions) (ReduceResult, error) {
-	if opt.Topology == nil {
-		return ReduceResult{}, errors.New("pcfreduce: ConcurrentOptions.Topology is required")
-	}
-	n := opt.Topology.N()
-	if len(inputs) != n {
-		return ReduceResult{}, fmt.Errorf("pcfreduce: %d inputs for %d nodes", len(inputs), n)
+	if err := checkInputs(algo, opt.Aggregate, opt.Topology, len(inputs)); err != nil {
+		return ReduceResult{}, err
 	}
 	if opt.Eps == 0 {
 		opt.Eps = 1e-9
@@ -514,9 +531,10 @@ func ReduceConcurrent(ctx context.Context, inputs []float64, algo Algorithm, opt
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
-	init := make([]Value, n)
-	for i, x := range inputs {
-		init[i] = gossip.Scalar(x, opt.Aggregate.InitialWeight(i))
+	mass := scalars(inputs, opt.Aggregate)
+	init := make([]Value, len(inputs))
+	for i := range init {
+		init[i] = mass(i)
 	}
 	net, err := runtime.New(runtime.Config{
 		Graph:       opt.Topology,
@@ -599,6 +617,9 @@ func QR(v *Matrix, algo Algorithm, opt QROptions) (QRResult, error) {
 	if opt.Topology == nil {
 		return QRResult{}, errors.New("pcfreduce: QROptions.Topology is required")
 	}
+	if err := algo.check(); err != nil {
+		return QRResult{}, err
+	}
 	if opt.Eps == 0 {
 		opt.Eps = 1e-15
 	}
@@ -671,6 +692,9 @@ func Eigen(a *Matrix, algo Algorithm, opt EigenOptions) (EigenResult, error) {
 	if opt.Topology == nil {
 		return EigenResult{}, errors.New("pcfreduce: EigenOptions.Topology is required")
 	}
+	if err := algo.check(); err != nil {
+		return EigenResult{}, err
+	}
 	if opt.Eigenvectors == 0 {
 		opt.Eigenvectors = 1
 	}
@@ -697,38 +721,25 @@ func Eigen(a *Matrix, algo Algorithm, opt EigenOptions) (EigenResult, error) {
 }
 
 // WeightedReduce computes the weighted mean Σ wᵢ·xᵢ / Σ wᵢ of the
-// per-node inputs with the given positive per-node weights, using the
-// same gossip machinery as Reduce (node i contributes mass (wᵢ·xᵢ, wᵢ)).
-// The Aggregate field of opt is ignored; every other field acts as in
-// Reduce.
+// per-node inputs with the given positive per-node weights (node i
+// contributes mass (wᵢ·xᵢ, wᵢ)); with Aggregate Sum it computes the
+// weighted sum Σ wᵢ·xᵢ. It runs on the same path as Reduce, so every
+// option applies exactly as there and invalid ones are rejected alike;
+// with unit weights the run is bit-identical to Reduce.
 func WeightedReduce(inputs, weights []float64, algo Algorithm, opt ReduceOptions) (ReduceResult, error) {
-	if opt.Topology == nil {
-		return ReduceResult{}, errors.New("pcfreduce: ReduceOptions.Topology is required")
-	}
-	n := opt.Topology.N()
-	if len(inputs) != n || len(weights) != n {
-		return ReduceResult{}, fmt.Errorf("pcfreduce: %d inputs / %d weights for %d nodes", len(inputs), len(weights), n)
+	if len(weights) != len(inputs) {
+		return ReduceResult{}, fmt.Errorf("pcfreduce: %d inputs but %d weights", len(inputs), len(weights))
 	}
 	for i, w := range weights {
 		if !(w > 0) {
 			return ReduceResult{}, fmt.Errorf("pcfreduce: weight %d is %g, want > 0", i, w)
 		}
 	}
-	if !opt.Topology.IsConnected() {
-		return ReduceResult{}, errors.New("pcfreduce: topology must be connected")
-	}
-	if opt.Shards < 0 {
-		return ReduceResult{}, fmt.Errorf("pcfreduce: ReduceOptions.Shards is %d, want ≥ 0", opt.Shards)
-	}
-	applyReduceDefaults(&opt, n)
-	protos := make([]Protocol, n)
-	for i := range protos {
-		protos[i] = algo.NewNode()
-	}
-	init := make([]Value, n)
-	for i := range init {
-		init[i] = gossip.Scalar(weights[i]*inputs[i], weights[i])
-	}
-	e := sim.New(opt.Topology, protos, init, opt.Seed, opt.engineOptions()...)
-	return runScalar(e, opt), nil
+	return reduceScalar(algo, opt, len(inputs), func(i int) Value {
+		w := weights[i]
+		if opt.Aggregate == Sum {
+			w = Sum.InitialWeight(i)
+		}
+		return gossip.Scalar(weights[i]*inputs[i], w)
+	})
 }

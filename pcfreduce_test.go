@@ -88,6 +88,72 @@ func TestReduceValidation(t *testing.T) {
 	if _, err := pcfreduce.Reduce([]float64{1, 2}, pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: two}); err == nil {
 		t.Fatal("disconnected topology accepted")
 	}
+	in := []float64{1, 2, 3, 4}
+	rejectsInvalid(t, "Reduce", false, func(algo pcfreduce.Algorithm, opt pcfreduce.ReduceOptions) error {
+		_, err := pcfreduce.Reduce(in, algo, opt)
+		return err
+	})
+	rejectsInvalid(t, "WeightedReduce", false, func(algo pcfreduce.Algorithm, opt pcfreduce.ReduceOptions) error {
+		_, err := pcfreduce.WeightedReduce(in, []float64{1, 1, 1, 1}, algo, opt)
+		return err
+	})
+}
+
+// invalidCase is a run over Path(4) that every entry point must reject
+// with an error, never a panic.
+type invalidCase struct {
+	name    string
+	algo    pcfreduce.Algorithm
+	opt     pcfreduce.ReduceOptions
+	session bool // SessionOptions can express it
+}
+
+func invalidCases() []invalidCase {
+	g := pcfreduce.Path(4)
+	nan := math.NaN()
+	type lf = pcfreduce.LinkFailure
+	type nc = pcfreduce.NodeCrash
+	return []invalidCase{
+		{"no topology", pcfreduce.PCF, pcfreduce.ReduceOptions{}, true},
+		{"unknown algorithm", pcfreduce.Algorithm(99), pcfreduce.ReduceOptions{Topology: g}, true},
+		{"unknown aggregate", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, Aggregate: 7}, true},
+		{"loss rate 2", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, LossRate: 2}, true},
+		{"loss rate -0.1", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, LossRate: -0.1}, true},
+		{"loss rate NaN", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, LossRate: nan}, true},
+		{"eps -1", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, Eps: -1}, false},
+		{"eps NaN", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, Eps: nan}, false},
+		{"max rounds -1", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, MaxRounds: -1}, false},
+		{"shards -1", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, Shards: -1}, false},
+		{"link failure off the graph", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, LinkFailures: []lf{{Round: 1, A: 0, B: 3}}}, false},
+		{"link failure to node 9", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, LinkFailures: []lf{{Round: 1, A: 3, B: 9}}}, false},
+		{"link failure from node -1", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, LinkFailures: []lf{{Round: 1, A: -1, B: 0}}}, false},
+		{"link failure at round -1", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, LinkFailures: []lf{{Round: -1, A: 0, B: 1}}}, false},
+		{"crash of node 99", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, NodeCrashes: []nc{{Round: 1, Node: 99}}}, false},
+		{"crash of node -1", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, NodeCrashes: []nc{{Round: 1, Node: -1}}}, false},
+		{"crash at round -1", pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, NodeCrashes: []nc{{Round: -1, Node: 2}}}, false},
+	}
+}
+
+// rejectsInvalid runs every invalid case (only those SessionOptions can
+// express, for a session) through one entry point, which must return an
+// error without panicking.
+func rejectsInvalid(t *testing.T, entry string, session bool, run func(pcfreduce.Algorithm, pcfreduce.ReduceOptions) error) {
+	t.Helper()
+	for _, c := range invalidCases() {
+		if session && !c.session {
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s panicked on %s: %v", entry, c.name, r)
+				}
+			}()
+			if err := run(c.algo, c.opt); err == nil {
+				t.Errorf("%s accepted %s", entry, c.name)
+			}
+		}()
+	}
 }
 
 func TestReduceWithFaults(t *testing.T) {
@@ -192,6 +258,20 @@ func TestReduceConcurrentValidation(t *testing.T) {
 	if _, err := pcfreduce.ReduceConcurrent(context.Background(), []float64{1}, pcfreduce.PCF, pcfreduce.ConcurrentOptions{Topology: g}); err == nil {
 		t.Fatal("wrong length accepted")
 	}
+	in := []float64{1, 2, 3, 4}
+	if _, err := pcfreduce.ReduceConcurrent(context.Background(), in, pcfreduce.Algorithm(99), pcfreduce.ConcurrentOptions{Topology: g}); err == nil {
+		t.Fatal("unknown algorithm accepted")
+	}
+	if _, err := pcfreduce.ReduceConcurrent(context.Background(), in, pcfreduce.PCF, pcfreduce.ConcurrentOptions{Topology: g, Aggregate: 7}); err == nil {
+		t.Fatal("unknown aggregate accepted")
+	}
+	// Two disjoint edges: rejected up front, as Reduce rejects them, not
+	// run until the timeout.
+	split := pcfreduce.Ring(4).RemoveEdge(1, 2).RemoveEdge(3, 0)
+	start := time.Now()
+	if _, err := pcfreduce.ReduceConcurrent(context.Background(), in, pcfreduce.PCF, pcfreduce.ConcurrentOptions{Topology: split, Timeout: 2 * time.Second}); err == nil {
+		t.Fatalf("disconnected topology accepted (returned after %v)", time.Since(start))
+	}
 }
 
 func TestQRFacade(t *testing.T) {
@@ -215,6 +295,9 @@ func TestQRFacade(t *testing.T) {
 	}
 	if _, err := pcfreduce.QR(v, pcfreduce.PCF, pcfreduce.QROptions{}); err == nil {
 		t.Fatal("nil topology accepted")
+	}
+	if _, err := pcfreduce.QR(v, pcfreduce.Algorithm(99), pcfreduce.QROptions{Topology: g}); err == nil {
+		t.Fatal("unknown algorithm accepted")
 	}
 }
 
@@ -258,6 +341,9 @@ func TestEigenFacade(t *testing.T) {
 	}
 	if _, err := pcfreduce.Eigen(a, pcfreduce.PCF, pcfreduce.EigenOptions{}); err == nil {
 		t.Fatal("nil topology accepted")
+	}
+	if _, err := pcfreduce.Eigen(a, pcfreduce.Algorithm(99), pcfreduce.EigenOptions{Topology: g}); err == nil {
+		t.Fatal("unknown algorithm accepted")
 	}
 }
 
@@ -314,22 +400,28 @@ func weightedDigest(r pcfreduce.ReduceResult) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestWeightedReduceOptions: WeightedReduce honours every ReduceOptions
-// field but Aggregate. With unit weights it computes Reduce's Average
-// from the same initial masses, so for each field the two must agree
-// bit for bit, recorder counters and trace calls included. Shards < 0
-// is rejected, a crashed node reports NaN, and the default sequential
-// run keeps the result it had when the sharding, metrics and fault
-// fields were still ignored (digest recorded then).
+// TestWeightedReduceOptions is the cross-entry-point table: each
+// ReduceOptions field is run through Reduce, WeightedReduce with unit
+// weights and ReduceBatch at width 1, which share one run path, so for
+// each field the three must agree bit for bit: estimates, Exact, rounds,
+// error, Trace calls and recorder counters. Where a case sets only
+// fields a Session has (Seed, Aggregate, LossRate; Eps and MaxRounds go
+// to StepUntil), NewSession + StepUntil must agree too. Every case but
+// the default changes the run, so an ignored field would show as a
+// repeat of the sequential result. The default weighted run keeps the
+// result it had before the entry points shared a path (digest recorded
+// then).
 func TestWeightedReduceOptions(t *testing.T) {
 	g := pcfreduce.Hypercube(4)
 	n := g.N()
 	in := inputsFor(g)
 	unit := make([]float64, n)
 	weights := make([]float64, n)
+	vec := make([][]float64, n)
 	for i := range unit {
 		unit[i] = 1
 		weights[i] = float64(i%3) + 0.5
+		vec[i] = []float64{in[i]}
 	}
 	res, err := pcfreduce.WeightedReduce(in, weights, pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g})
 	if err != nil {
@@ -338,18 +430,19 @@ func TestWeightedReduceOptions(t *testing.T) {
 	if got, want := weightedDigest(res), "d6ca85aa4709f5ae3feb9c0b0d4a77f8ba719f07319aa45720bf2d23641484c7"; got != want {
 		t.Errorf("Shards 0 weighted result changed: digest %s, want %s", got, want)
 	}
-	if _, err := pcfreduce.WeightedReduce(in, weights, pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g, Shards: -1}); err == nil {
-		t.Error("Shards -1 accepted")
-	}
 
 	link := []pcfreduce.LinkFailure{{Round: 5, A: 0, B: 1}}
 	crash := []pcfreduce.NodeCrash{{Round: 5, Node: 3}}
-	rounds := map[string]int{}
+	digests := map[string]string{}
 	for _, c := range []struct {
 		name string
 		opt  pcfreduce.ReduceOptions
 	}{
 		{"sequential", pcfreduce.ReduceOptions{}},
+		{"seed", pcfreduce.ReduceOptions{Seed: 7}},
+		{"eps", pcfreduce.ReduceOptions{Eps: 1e-6}},
+		{"maxrounds", pcfreduce.ReduceOptions{MaxRounds: 40}},
+		{"aggregate-sum", pcfreduce.ReduceOptions{Aggregate: pcfreduce.Sum}},
 		{"shards1", pcfreduce.ReduceOptions{Shards: 1}},
 		{"shards2", pcfreduce.ReduceOptions{Shards: 2}},
 		{"cacheaware", pcfreduce.ReduceOptions{Shards: 2, CacheAware: true}},
@@ -362,50 +455,96 @@ func TestWeightedReduceOptions(t *testing.T) {
 		{"metrics", pcfreduce.ReduceOptions{Shards: 2, Metrics: pcfreduce.NewMetrics(pcfreduce.MetricsConfig{Shards: 2, Interval: 4})}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(reduce func(pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error)) (pcfreduce.ReduceResult, int, *pcfreduce.MetricsRecorder) {
+			type run struct {
+				res    pcfreduce.ReduceResult
+				traced int
+				rec    *pcfreduce.MetricsRecorder
+			}
+			do := func(reduce func(pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error)) run {
 				opt := c.opt
 				opt.Topology = g
 				if opt.Metrics != nil {
 					opt.Metrics = pcfreduce.NewMetrics(pcfreduce.MetricsConfig{Shards: 2, Interval: 4})
 				}
-				traced := 0
-				opt.Trace = func(int, float64) { traced++ }
+				r := run{rec: opt.Metrics}
+				opt.Trace = func(int, float64) { r.traced++ }
 				res, err := reduce(opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, traced, opt.Metrics
+				r.res = res
+				return r
 			}
-			want, wantTraced, wantRec := run(func(o pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error) {
+			want := do(func(o pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error) {
 				return pcfreduce.Reduce(in, pcfreduce.PCF, o)
 			})
-			got, gotTraced, gotRec := run(func(o pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error) {
+			weighted := do(func(o pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error) {
 				return pcfreduce.WeightedReduce(in, unit, pcfreduce.PCF, o)
 			})
-			if weightedDigest(got) != weightedDigest(want) {
-				t.Fatalf("WeightedReduce (%d rounds, err %.3e) differs from Reduce (%d rounds, err %.3e)",
-					got.Rounds, got.MaxError, want.Rounds, want.MaxError)
+			batch := do(func(o pcfreduce.ReduceOptions) (pcfreduce.ReduceResult, error) {
+				b, err := pcfreduce.ReduceBatch(vec, pcfreduce.PCF, o)
+				if err != nil {
+					return pcfreduce.ReduceResult{}, err
+				}
+				r := pcfreduce.ReduceResult{Exact: b.Exact[0], Rounds: b.Rounds, Converged: b.Converged, MaxError: b.MaxError}
+				for _, est := range b.Estimates {
+					r.Estimates = append(r.Estimates, est[0])
+				}
+				return r, nil
+			})
+			if want.traced != want.res.Rounds {
+				t.Errorf("Reduce called Trace %d times for %d rounds", want.traced, want.res.Rounds)
 			}
-			if gotTraced != wantTraced || gotTraced != got.Rounds {
-				t.Errorf("Trace called %d times, Reduce's %d, for %d rounds", gotTraced, wantTraced, got.Rounds)
-			}
-			if c.opt.NodeCrashes != nil && !math.IsNaN(got.Estimates[3]) {
-				t.Errorf("crashed node 3 reports %g, want NaN", got.Estimates[3])
-			}
-			if gotRec != nil {
-				gc, wc := gotRec.Counters(), wantRec.Counters()
-				if gc != wc || gc.Get(metrics.MsgsSent) == 0 {
-					t.Errorf("recorder counters %v, Reduce's %v", gc, wc)
+			for _, got := range []struct {
+				name string
+				run
+			}{{"WeightedReduce", weighted}, {"ReduceBatch", batch}} {
+				if weightedDigest(got.res) != weightedDigest(want.res) {
+					t.Errorf("%s (%d rounds, err %.3e) differs from Reduce (%d rounds, err %.3e)",
+						got.name, got.res.Rounds, got.res.MaxError, want.res.Rounds, want.res.MaxError)
+				}
+				if got.traced != want.traced {
+					t.Errorf("%s called Trace %d times, Reduce %d", got.name, got.traced, want.traced)
+				}
+				if got.rec != nil {
+					gc, wc := got.rec.Counters(), want.rec.Counters()
+					if gc != wc || gc.Get(metrics.MsgsSent) == 0 {
+						t.Errorf("%s recorder counters %v, Reduce's %v", got.name, gc, wc)
+					}
 				}
 			}
-			rounds[c.name] = got.Rounds
+			if c.opt.NodeCrashes != nil && !math.IsNaN(want.res.Estimates[3]) {
+				t.Errorf("crashed node 3 reports %g, want NaN", want.res.Estimates[3])
+			}
+			o := c.opt
+			if o.Shards == 0 && o.LinkFailures == nil && o.NodeCrashes == nil && o.Metrics == nil {
+				s, err := pcfreduce.NewSession(in, pcfreduce.PCF, pcfreduce.SessionOptions{
+					Topology: g, Aggregate: o.Aggregate, Seed: o.Seed, LossRate: o.LossRate,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eps, maxRounds := o.Eps, o.MaxRounds
+				if eps == 0 {
+					eps = 1e-12
+				}
+				if maxRounds == 0 {
+					maxRounds = 500*4 + 2000 // Reduce's default on 2^4 nodes
+				}
+				conv := s.StepUntil(eps, maxRounds)
+				got := pcfreduce.ReduceResult{Estimates: s.Estimates(), Exact: s.Exact(), Rounds: s.Rounds(), Converged: conv, MaxError: s.MaxError()}
+				if weightedDigest(got) != weightedDigest(want.res) {
+					t.Errorf("Session (%d rounds, err %.3e) differs from Reduce (%d rounds, err %.3e)",
+						got.Rounds, got.MaxError, want.res.Rounds, want.res.MaxError)
+				}
+			}
+			digests[c.name] = weightedDigest(want.res)
 		})
 	}
-	// The sharded model and the faults change the run: were a field
-	// ignored, its case would repeat the sequential one.
-	for _, name := range []string{"shards1", "linkfailure", "nodecrash"} {
-		if rounds[name] == rounds["sequential"] {
-			t.Errorf("%s took %d rounds, as many as the sequential run: the option had no effect", name, rounds[name])
+	// Were a field ignored, its case would repeat the sequential run.
+	for name, d := range digests {
+		if name != "sequential" && d == digests["sequential"] {
+			t.Errorf("%s gave the sequential run's result: the option had no effect", name)
 		}
 	}
 }
@@ -646,6 +785,10 @@ func TestReduceBatchValidation(t *testing.T) {
 	if _, err := pcfreduce.ReduceBatch([][]float64{{}, {}, {}, {}}, pcfreduce.PCF, pcfreduce.ReduceOptions{Topology: g}); err == nil {
 		t.Fatal("zero width accepted")
 	}
+	rejectsInvalid(t, "ReduceBatch", false, func(algo pcfreduce.Algorithm, opt pcfreduce.ReduceOptions) error {
+		_, err := pcfreduce.ReduceBatch(ok, algo, opt)
+		return err
+	})
 }
 
 // The cache-aware layout changes nothing but locality: byte-identical

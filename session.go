@@ -1,11 +1,8 @@
 package pcfreduce
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
-	"pcfreduce/internal/fault"
 	"pcfreduce/internal/gossip"
 	"pcfreduce/internal/sim"
 )
@@ -18,10 +15,8 @@ import (
 //
 // Sessions are not safe for concurrent use.
 type Session struct {
-	engine  *sim.Engine
-	agg     Aggregate
-	inputs  []float64
-	lossICs *fault.Loss
+	engine *sim.Engine
+	agg    Aggregate
 }
 
 // SessionOptions configures NewSession.
@@ -33,40 +28,25 @@ type SessionOptions struct {
 	// Seed makes the schedule reproducible (default 1).
 	Seed int64
 	// LossRate, when > 0, drops each message independently with this
-	// probability for the whole session.
+	// probability for the whole session; it must lie in [0, 1].
 	LossRate float64
 }
 
-// NewSession builds a session with the given per-node inputs.
+// NewSession builds a session with the given per-node inputs. Its
+// engine comes from the builder Reduce uses, so the options apply by
+// construction and invalid ones are rejected alike; a session always
+// runs the sequential model, as Reduce does with Shards 0.
 func NewSession(inputs []float64, algo Algorithm, opt SessionOptions) (*Session, error) {
-	if opt.Topology == nil {
-		return nil, errors.New("pcfreduce: SessionOptions.Topology is required")
+	e, err := build(algo, &ReduceOptions{
+		Topology:  opt.Topology,
+		Aggregate: opt.Aggregate,
+		Seed:      opt.Seed,
+		LossRate:  opt.LossRate,
+	}, len(inputs), scalars(inputs, opt.Aggregate))
+	if err != nil {
+		return nil, err
 	}
-	n := opt.Topology.N()
-	if len(inputs) != n {
-		return nil, fmt.Errorf("pcfreduce: %d inputs for %d nodes", len(inputs), n)
-	}
-	if !opt.Topology.IsConnected() {
-		return nil, errors.New("pcfreduce: topology must be connected")
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	protos := make([]Protocol, n)
-	for i := range protos {
-		protos[i] = algo.NewNode()
-	}
-	e := sim.NewScalar(opt.Topology, protos, inputs, opt.Aggregate, opt.Seed)
-	s := &Session{
-		engine: e,
-		agg:    opt.Aggregate,
-		inputs: append([]float64(nil), inputs...),
-	}
-	if opt.LossRate > 0 {
-		s.lossICs = fault.NewLoss(opt.LossRate, opt.Seed+1)
-		e.SetInterceptor(s.lossICs)
-	}
-	return s, nil
+	return &Session{engine: e, agg: opt.Aggregate}, nil
 }
 
 // Step advances the gossip by the given number of rounds.
@@ -88,7 +68,6 @@ func (s *Session) StepUntil(eps float64, maxRounds int) bool {
 // immediately. The algorithm must support dynamic inputs (all built-in
 // algorithms do).
 func (s *Session) UpdateInput(node int, value float64) {
-	s.inputs[node] = value
 	s.engine.UpdateInput(node, gossip.Scalar(value, s.agg.InitialWeight(node)))
 }
 

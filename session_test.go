@@ -122,4 +122,10 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := pcfreduce.NewSession([]float64{1}, pcfreduce.PCF, pcfreduce.SessionOptions{Topology: g}); err == nil {
 		t.Fatal("wrong input length accepted")
 	}
+	rejectsInvalid(t, "NewSession", true, func(algo pcfreduce.Algorithm, opt pcfreduce.ReduceOptions) error {
+		_, err := pcfreduce.NewSession([]float64{1, 2, 3, 4}, algo, pcfreduce.SessionOptions{
+			Topology: opt.Topology, Aggregate: opt.Aggregate, Seed: opt.Seed, LossRate: opt.LossRate,
+		})
+		return err
+	})
 }
