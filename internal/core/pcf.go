@@ -98,10 +98,10 @@ type edgeSnapshot struct {
 //
 // The flow slots and neighbor lists live in the shared edge store
 // (gossip.EdgeStore) with two slots per edge — edge k's slots are 2k and
-// 2k+1 — and init, ϕ and scratch are carved from the same float block,
-// so every float is one dependent load away from the Node and the
-// robust variant's local-mass pass (one sweep over all slots per send)
-// streams through contiguous memory. The handshake state (c, r) sits in
+// 2k+1 — and init and ϕ are carved from the same float block, so every
+// float is one dependent load away from the Node and the robust
+// variant's local-mass pass (one sweep over all slots per send) streams
+// through contiguous memory. The handshake state (c, r) sits in
 // parallel per-edge arrays, and the per-edge eviction snapshots exist
 // only once a link has failed. Field order matters: everything
 // FillMessage, Receive and the engine's target draw read sits in the
@@ -112,7 +112,6 @@ type Node struct {
 	id      int
 	init    gossip.Value
 	phi     gossip.Value // ϕ: accumulated flow mass
-	scratch gossip.Value // reused by FillMessage/EstimateInto
 	c       []uint8      // active slot per edge: 0 or 1 (wire: 1 or 2)
 	r       []uint64     // role-change counter per edge
 	e       gossip.EdgeStore
@@ -138,7 +137,7 @@ func (n *Node) Variant() Variant { return n.variant }
 // instead of reallocating it, so restarting a trial on a reused engine
 // does not allocate.
 func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
-	n.e.Reset(neighbors, init.Width(), 2, &n.init, &n.phi, &n.scratch)
+	n.e.Reset(neighbors, init.Width(), 2, &n.init, &n.phi)
 	deg := len(neighbors)
 	n.c = slices.Grow(n.c[:0], deg)[:deg]
 	n.r = slices.Grow(n.r[:0], deg)[:deg]
@@ -151,24 +150,54 @@ func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
 	n.saved = nil
 }
 
-// local returns the node's current mass: v − ϕ for the efficient
-// variant, v − ϕ − Σ f for the robust variant (paper Sec. III-A).
-func (n *Node) local() gossip.Value {
-	var e gossip.Value
-	n.localInto(&e)
-	return e
+// weight returns the weight of the node's current mass: v − ϕ for the
+// efficient variant, v − ϕ − Σ f for the robust variant (paper
+// Sec. III-A), which subtracts the slots in ascending slot order.
+func (n *Node) weight() float64 {
+	m := n.init.W - n.phi.W
+	if n.variant == VariantRobust {
+		for _, y := range n.e.Weights() {
+			m -= y
+		}
+	}
+	return m
 }
 
-// localInto computes the node's current mass into dst without allocating
-// (beyond growing dst once to the value width). The robust variant
-// subtracts the slots from each component in ascending slot order, the
-// order of a SubInPlace per slot.
-func (n *Node) localInto(dst *gossip.Value) {
-	dst.Set(n.init)
-	dst.SubInPlace(n.phi)
+// component returns component j of the node's current mass, computed
+// like weight.
+func (n *Node) component(j int) float64 {
+	m := n.init.X[j] - n.phi.X[j]
 	if n.variant == VariantRobust {
-		n.e.SubSlots(dst, 1)
+		xs, w := n.e.Payloads(), n.e.Width()
+		for i := j; i < len(xs); i += w {
+			m -= xs[i]
+		}
 	}
+	return m
+}
+
+// localInto writes the node's current mass into x (width floats) in one
+// pass and returns its weight. With est set, each component is divided
+// by the weight as it is written, giving the estimate x/W instead.
+func (n *Node) localInto(x []float64, est bool) float64 {
+	m := n.weight()
+	for j := range x[:n.e.Width()] {
+		l := n.component(j)
+		if est {
+			l /= m
+		}
+		x[j] = l
+	}
+	return m
+}
+
+// sized returns v's payload with length w, reallocated only when its
+// length differs (Value.Set's rule).
+func sized(v *gossip.Value, w int) []float64 {
+	if len(v.X) != w {
+		v.X = make([]float64, w)
+	}
+	return v.X
 }
 
 // MakeMessage implements gossip.Protocol (paper Fig. 5 lines 30–33):
@@ -182,35 +211,72 @@ func (n *Node) MakeMessage(target int) gossip.Message {
 
 // FillMessage implements gossip.MessageFiller: the allocation-free form
 // of MakeMessage (identical state transition, bit-identical wire
-// contents).
+// contents). One pass over the components implements paper Fig. 5
+// lines 30–32: the half-mass e/2 (line 30, e the local mass of
+// localInto) is added to the active slot (line 31) and, for the
+// efficient variant, to ϕ (line 32); both slots are then copied into the
+// message's flows (line 33, the transmission) in the same pass.
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
 	k := n.e.Edge(target)
 	if k < 0 {
 		panic("core: send to non-neighbor")
 	}
-	n.localInto(&n.scratch)
-	n.scratch.HalfInPlace()
-	n.e.AddSlot(2*k+int(n.c[k]), n.scratch)
-	if n.variant == VariantEfficient {
-		n.phi.AddInPlace(n.scratch) // line 32: ϕ ← ϕ + e/2
+	w, ws := n.e.Width(), n.e.Weights()
+	phi := n.phi.X[:w]
+	efficient := n.variant == VariantEfficient
+	a := 2*k + int(n.c[k])
+	s0, s1, sa := n.e.Slot(2*k).X, n.e.Slot(2*k+1).X, n.e.Slot(a).X
+	f1, f2 := sized(&msg.Flow1, w), sized(&msg.Flow2, w)
+
+	h := n.weight() / 2
+	ws[a] += h
+	if efficient {
+		n.phi.W += h
 	}
+	for j := range sa {
+		h := n.component(j) / 2 // read before sa[j] changes
+		sa[j] += h
+		if efficient {
+			phi[j] += h
+		}
+		f1[j], f2[j] = s0[j], s1[j]
+	}
+	msg.Flow1.W, msg.Flow2.W = ws[2*k], ws[2*k+1]
 	msg.From, msg.To, msg.Kind = n.id, target, gossip.KindData
-	msg.Flow1.Set(n.e.Slot(2 * k))
-	msg.Flow2.Set(n.e.Slot(2*k + 1))
 	msg.C = n.c[k] + 1 // wire format counts slots from 1, as the paper does
 	msg.R = n.r[k]
 }
 
-// Receive implements gossip.Protocol (paper Fig. 5 lines 6–29).
+// Receive implements gossip.Protocol (paper Fig. 5 lines 6–29) with one
+// edge lookup, one validation pass and one pass per slot it touches:
+//
+//   - validation rejects an unknown sender, a wrong width, a non-finite
+//     component (one sum of x − x over both flows, which is 0 exactly
+//     when every component is finite) and a control byte outside {1, 2},
+//     in that order;
+//   - lines 7–9, the role-change adoption, run on local copies of c and
+//     r, beside the hard resync for handshake states the paper's cases
+//     never produce;
+//   - lines 10–12: one pass exchanges the active slot;
+//   - one pass tests the passive slot for mirror and zero together and
+//     picks cancellation (lines 13–16), cancellation with role swap
+//     (lines 17–21) or a passive exchange (lines 22–25), one more pass.
 func (n *Node) Receive(msg gossip.Message) {
 	k := n.e.Edge(msg.From)
 	if k < 0 {
 		return // unknown sender
 	}
-	if msg.Flow1.Width() != n.e.Width() || msg.Flow2.Width() != n.e.Width() {
+	w := n.e.Width()
+	p1, p2 := msg.Flow1.X, msg.Flow2.X
+	if len(p1) != w || len(p2) != w {
 		return // malformed (possibly corrupted) message
 	}
-	if !msg.Flow1.Finite() || !msg.Flow2.Finite() {
+	fin := (msg.Flow1.W - msg.Flow1.W) + (msg.Flow2.W - msg.Flow2.W)
+	p2 = p2[:len(p1)]
+	for j, x := range p1 {
+		fin += (x - x) + (p2[j] - p2[j])
+	}
+	if fin != 0 {
 		// Detectably corrupted payload (NaN/Inf): discard, as in PF.
 		// This matters most for the efficient variant, where a received
 		// flow is folded into ϕ immediately and a non-finite value
@@ -221,14 +287,15 @@ func (n *Node) Receive(msg gossip.Message) {
 		return // corrupted control byte: ignore; flows re-sync next round
 	}
 	peerC := msg.C - 1
-	peerF := [2]gossip.Value{msg.Flow1, msg.Flow2}
+	c, r := n.c[k], n.r[k]
 
 	// Lines 7–9: the peer completed a role change at equal r — adopt it.
-	if n.c[k] != peerC && n.r[k] == msg.R {
-		n.c[k] = peerC
+	if c != peerC && r == msg.R {
+		c = peerC
 	}
-	if n.c[k] != peerC || msg.R > n.r[k]+1 {
-		if msg.R > n.r[k] {
+	if c != peerC || msg.R > r+1 {
+		n.c[k] = c // keeps an adoption at r = 2⁶⁴−1, where r+1 wraps
+		if msg.R > r {
 			// Hard resync: the peer's handshake state is ahead of ours
 			// in a way the paper's cases never produce on FIFO links
 			// (there, r differences beyond ±1 and role mismatches at
@@ -239,44 +306,45 @@ func (n *Node) Receive(msg gossip.Message) {
 			// the node's local mass to zero. Recover by adopting the
 			// peer's view and running a plain PF exchange on both
 			// slots; cancellation resumes on the next regular message.
-			n.c[k] = peerC
-			n.r[k] = msg.R
-			for s := 0; s < 2; s++ {
-				if n.variant == VariantEfficient {
-					n.phi.SubInPlace(n.e.Slot(2*k + s))
-					n.phi.SubInPlace(peerF[s])
-				}
-				n.e.NegSlot(2*k+s, peerF[s])
-			}
+			n.c[k], n.r[k] = peerC, msg.R
+			n.exchange(2*k, p1, msg.Flow1.W)
+			n.exchange(2*k+1, p2, msg.Flow2.W)
 		}
 		return // otherwise stale: wait for a current message
 	}
 
-	a := int(n.c[k]) // active slot
-	p := 1 - a       // passive slot
+	ia, ip := 2*k+int(c), 2*k+1-int(c) // active and passive slot
+	pa, pp, wa, wp := p1, p2, msg.Flow1.W, msg.Flow2.W
+	if c == 1 {
+		pa, pp, wa, wp = p2, p1, msg.Flow2.W, msg.Flow1.W
+	}
 
 	// Lines 10–12: the active slot runs plain push-flow.
-	if n.variant == VariantEfficient {
-		// ϕ ← ϕ − (f(i,j,a) + f(j,i,a)); the flow then becomes −f(j,i,a),
-		// keeping ϕ equal to the node's net outflow.
-		n.phi.SubInPlace(n.e.Slot(2*k + a))
-		n.phi.SubInPlace(peerF[a])
-	}
-	n.e.NegSlot(2*k+a, peerF[a])
+	n.exchange(ia, pa, wa)
 
+	// The passive slot mirrors the peer's (bitwise up to the sign of
+	// zero), or the peer's is zero: both tests in one pass.
+	ws := n.e.Weights()
+	sp := n.e.Slot(ip).X
+	pp = pp[:len(sp)]
+	mirror, zero := ws[ip] == -wp, wp == 0
+	for j := range sp {
+		mirror = mirror && sp[j] == -pp[j]
+		zero = zero && pp[j] == 0
+	}
 	switch {
-	case peerF[p].EqualNeg(n.e.Slot(2*k+p)) && n.r[k] == msg.R:
+	case mirror && r == msg.R:
 		// Lines 13–16, case (i): flow conservation achieved on the
 		// passive slot — cancel our half.
-		n.cancel(k, p)
-		n.r[k]++
-	case peerF[p].IsZero() && n.r[k]+1 == msg.R:
+		n.cancel(ip)
+		r++
+	case zero && r+1 == msg.R:
 		// Lines 17–21, case (ii): the peer already cancelled its half —
 		// cancel ours and swap the roles.
-		n.c[k] = uint8(p)
-		n.cancel(k, p)
-		n.r[k]++
-	default:
+		c = uint8(ip - 2*k)
+		n.cancel(ip)
+		r++
+	case r == msg.R:
 		// Lines 22–25, case (iii): conservation does not (yet) hold on
 		// the passive slot; treat it like an active flow so it keeps
 		// converging. The paper's guard is r(i,j) ≤ r(j,i); we require
@@ -290,37 +358,71 @@ func (n *Node) Receive(msg gossip.Message) {
 		// mass conservation. With the equality guard the corrupted
 		// message is simply ignored and the peer's retransmission
 		// completes the cancellation against our unmodified half.
-		if n.r[k] == msg.R {
-			if n.variant == VariantEfficient {
-				n.phi.SubInPlace(n.e.Slot(2*k + p))
-				n.phi.SubInPlace(peerF[p])
-			}
-			n.e.NegSlot(2*k+p, peerF[p])
+		n.exchange(ip, pp, wp)
+	}
+	n.c[k], n.r[k] = c, r
+}
+
+// exchange runs push-flow on slot i against the peer's flow (peer, pw)
+// in one pass: for the efficient variant ϕ ← ϕ − (f + peer), subtracted
+// one term at a time, keeping ϕ equal to the node's net outflow; then
+// f ← −peer.
+func (n *Node) exchange(i int, peer []float64, pw float64) {
+	w := n.e.Width()
+	x, ws, phi := n.e.Slot(i).X, n.e.Weights(), n.phi.X[:w]
+	peer = peer[:len(x)]
+	efficient := n.variant == VariantEfficient
+	if efficient {
+		n.phi.W = n.phi.W - ws[i] - pw
+	}
+	ws[i] = -pw
+	for j, y := range peer {
+		if efficient {
+			phi[j] = phi[j] - x[j] - y
 		}
+		x[j] = -y
 	}
 }
 
-// cancel folds slot s of edge k into ϕ (robust variant) or into the
-// implicit cancelled mass (efficient variant, where ϕ already accounts
-// for it) and zeroes the slot.
-func (n *Node) cancel(k, s int) {
+// cancel folds slot i into ϕ (robust variant) or into the implicit
+// cancelled mass (efficient variant, where ϕ already accounts for it)
+// and zeroes the slot.
+func (n *Node) cancel(i int) {
+	w := n.e.Width()
+	x, ws := n.e.Slot(i).X, n.e.Weights()
 	if n.variant == VariantRobust {
-		n.phi.AddInPlace(n.e.Slot(2*k + s))
+		phi := n.phi.X[:w]
+		for j, y := range x {
+			phi[j] += y
+		}
+		n.phi.W += ws[i]
 	}
-	n.e.ZeroSlot(2*k + s)
+	clear(x)
+	ws[i] = 0
 }
 
 // Estimate implements gossip.Protocol.
-func (n *Node) Estimate() []float64 { return n.local().Estimate() }
+func (n *Node) Estimate() []float64 { return n.EstimateInto(nil) }
 
-// EstimateInto implements gossip.Estimator.
+// EstimateInto implements gossip.Estimator: the local mass's x/W,
+// reusing dst when its capacity suffices.
 func (n *Node) EstimateInto(dst []float64) []float64 {
-	n.localInto(&n.scratch)
-	return n.scratch.EstimateInto(dst)
+	w := n.e.Width()
+	if cap(dst) >= w {
+		dst = dst[:w]
+	} else {
+		dst = make([]float64, w)
+	}
+	n.localInto(dst, true)
+	return dst
 }
 
 // LocalValue implements gossip.Protocol.
-func (n *Node) LocalValue() gossip.Value { return n.local() }
+func (n *Node) LocalValue() gossip.Value {
+	var v gossip.Value
+	n.LocalValueInto(&v)
+	return v
+}
 
 // OnLinkFailure implements gossip.Protocol: exclude the failed link by
 // zeroing both flow slots (paper Sec. II-A applied to PCF).
@@ -461,7 +563,9 @@ func (n *Node) EdgeView() (*gossip.EdgeStore, int, bool) { return &n.e, 2, true 
 
 // LocalValueInto implements gossip.MassReader: LocalValue without the
 // allocation.
-func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
+func (n *Node) LocalValueInto(dst *gossip.Value) {
+	dst.W = n.localInto(sized(dst, n.e.Width()), false)
+}
 
 // OnNeighborJoin implements gossip.OpenMembership: admit a brand-new
 // neighbor with a clean edge — zero slots, active slot 0, role counter
@@ -474,7 +578,7 @@ func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
 // OnLinkFailure left it, and the fresh zero pair is trivially
 // antisymmetric.
 func (n *Node) OnNeighborJoin(neighbor int) {
-	switch k := n.e.Join(neighbor, &n.init, &n.phi, &n.scratch); {
+	switch k := n.e.Join(neighbor, &n.init, &n.phi); {
 	case k < 0: // already live
 	case k == len(n.c): // brand-new edge: the store appended zero slots
 		n.c = append(n.c, 0)

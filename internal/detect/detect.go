@@ -46,7 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Policy selects how silence is turned into suspicion.
@@ -128,12 +128,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// neighborState is the per-neighbor liveness record.
+// neighborState is the per-neighbor liveness record. The arrival
+// window exists from the first observed inter-arrival on, so a detector
+// that has heard nothing yet costs a few words per neighbor.
 type neighborState struct {
+	lastHeard float64
+	win       *arrivals // nil until the first observation
 	suspected bool
 	removed   bool
-	lastHeard float64
-	// Sliding window of inter-arrival times (PhiAccrual).
+}
+
+// arrivals is a sliding window of inter-arrival times (PhiAccrual).
+type arrivals struct {
 	samples []float64
 	next    int // ring-buffer write position
 	sum     float64
@@ -141,26 +147,40 @@ type neighborState struct {
 }
 
 func (ns *neighborState) observe(interval float64, window int) {
-	if len(ns.samples) < window {
-		ns.samples = append(ns.samples, interval)
-	} else {
-		old := ns.samples[ns.next]
-		ns.sum -= old
-		ns.sumSq -= old * old
-		ns.samples[ns.next] = interval
-		ns.next = (ns.next + 1) % window
+	a := ns.win
+	if a == nil {
+		a = &arrivals{}
+		ns.win = a
 	}
-	ns.sum += interval
-	ns.sumSq += interval * interval
+	if len(a.samples) < window {
+		a.samples = append(a.samples, interval)
+	} else {
+		old := a.samples[a.next]
+		a.sum -= old
+		a.sumSq -= old * old
+		a.samples[a.next] = interval
+		a.next = (a.next + 1) % window
+	}
+	a.sum += interval
+	a.sumSq += interval * interval
+}
+
+// observed is the number of inter-arrival samples in the window.
+func (ns *neighborState) observed() int {
+	if ns.win == nil {
+		return 0
+	}
+	return len(ns.win.samples)
 }
 
 func (ns *neighborState) meanStd() (mean, std float64) {
-	n := float64(len(ns.samples))
-	if n == 0 {
+	a := ns.win
+	if a == nil || len(a.samples) == 0 {
 		return 0, 0
 	}
-	mean = ns.sum / n
-	variance := ns.sumSq/n - mean*mean
+	n := float64(len(a.samples))
+	mean = a.sum / n
+	variance := a.sumSq/n - mean*mean
 	if variance < 0 {
 		variance = 0 // numerical noise
 	}
@@ -169,9 +189,12 @@ func (ns *neighborState) meanStd() (mean, std float64) {
 
 // Detector tracks the liveness of one node's neighbors. It is not safe
 // for concurrent use; the engines guard it with the owning node's lock.
+// The records sit in one slice in ascending neighbor id, so every
+// listing comes out sorted and a lookup is a binary search.
 type Detector struct {
 	cfg  Config
-	nbrs map[int]*neighborState
+	ids  []int32         // monitored neighbors, ascending
+	nbrs []neighborState // nbrs[k] is ids[k]'s record
 
 	// Suspicions counts Alive→Suspected transitions (including repeated
 	// suspicions of the same neighbor after reintegration).
@@ -188,11 +211,25 @@ func New(cfg Config, neighbors []int32, now float64) *Detector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Detector{cfg: cfg, nbrs: make(map[int]*neighborState, len(neighbors))}
-	for _, j := range neighbors {
-		d.nbrs[int(j)] = &neighborState{lastHeard: now}
+	d := &Detector{cfg: cfg, ids: slices.Clone(neighbors)}
+	slices.Sort(d.ids)
+	d.ids = slices.Compact(d.ids)
+	d.nbrs = make([]neighborState, len(d.ids))
+	for k := range d.nbrs {
+		d.nbrs[k].lastHeard = now
 	}
 	return d
+}
+
+// state returns the neighbor's record, or nil when it is not monitored.
+func (d *Detector) state(neighbor int) *neighborState {
+	if neighbor != int(int32(neighbor)) {
+		return nil
+	}
+	if k, ok := slices.BinarySearch(d.ids, int32(neighbor)); ok {
+		return &d.nbrs[k]
+	}
+	return nil
 }
 
 // Heard records traffic (data, keepalive or probe) from a neighbor at
@@ -200,8 +237,8 @@ func New(cfg Config, neighbors []int32, now float64) *Detector {
 // the caller then restores the edge via the protocol's OnLinkRecover.
 // Traffic from removed or unknown neighbors is ignored.
 func (d *Detector) Heard(neighbor int, now float64) (reintegrated bool) {
-	ns, ok := d.nbrs[neighbor]
-	if !ok || ns.removed {
+	ns := d.state(neighbor)
+	if ns == nil || ns.removed {
 		return false
 	}
 	if interval := now - ns.lastHeard; interval > 0 && !ns.suspected {
@@ -221,17 +258,17 @@ func (d *Detector) Heard(neighbor int, now float64) (reintegrated bool) {
 // caller evicts them via the protocol's OnLinkFailure.
 func (d *Detector) Check(now float64) []int {
 	var out []int
-	for j, ns := range d.nbrs {
+	for k := range d.nbrs {
+		ns := &d.nbrs[k]
 		if ns.suspected || ns.removed {
 			continue
 		}
 		if d.suspicious(ns, now) {
 			ns.suspected = true
 			d.Suspicions++
-			out = append(out, j)
+			out = append(out, int(d.ids[k]))
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -240,7 +277,7 @@ func (d *Detector) suspicious(ns *neighborState, now float64) bool {
 	if silence <= 0 {
 		return false
 	}
-	if d.cfg.Policy == FixedTimeout || len(ns.samples) < d.cfg.MinSamples {
+	if d.cfg.Policy == FixedTimeout || ns.observed() < d.cfg.MinSamples {
 		return silence > d.cfg.Timeout
 	}
 	return d.phi(ns, silence) >= d.cfg.PhiThreshold
@@ -266,8 +303,8 @@ func (d *Detector) phi(ns *neighborState, silence float64) float64 {
 // or removed neighbors; +Inf once the model assigns zero probability to
 // the observed silence). Exposed for experiments and debugging.
 func (d *Detector) Phi(neighbor int, now float64) float64 {
-	ns, ok := d.nbrs[neighbor]
-	if !ok || ns.removed {
+	ns := d.state(neighbor)
+	if ns == nil || ns.removed {
 		return 0
 	}
 	silence := now - ns.lastHeard
@@ -279,19 +316,18 @@ func (d *Detector) Phi(neighbor int, now float64) float64 {
 
 // Suspected reports whether the neighbor is currently suspected.
 func (d *Detector) Suspected(neighbor int) bool {
-	ns, ok := d.nbrs[neighbor]
-	return ok && ns.suspected
+	ns := d.state(neighbor)
+	return ns != nil && ns.suspected
 }
 
 // Suspects returns the currently suspected neighbors in ascending order.
 func (d *Detector) Suspects() []int {
 	var out []int
-	for j, ns := range d.nbrs {
+	for k, ns := range d.nbrs {
 		if ns.suspected && !ns.removed {
-			out = append(out, j)
+			out = append(out, int(d.ids[k]))
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -303,17 +339,21 @@ func (d *Detector) Suspects() []int {
 // withdrawn via Remove is resurrected fresh (a rewire may legitimately
 // recreate a previously failed edge).
 func (d *Detector) AddNeighbor(neighbor int, now float64) {
-	if ns, ok := d.nbrs[neighbor]; ok && !ns.removed {
-		return
+	k, ok := slices.BinarySearch(d.ids, int32(neighbor))
+	switch {
+	case !ok:
+		d.ids = slices.Insert(d.ids, k, int32(neighbor))
+		d.nbrs = slices.Insert(d.nbrs, k, neighborState{lastHeard: now})
+	case d.nbrs[k].removed:
+		d.nbrs[k] = neighborState{lastHeard: now}
 	}
-	d.nbrs[neighbor] = &neighborState{lastHeard: now}
 }
 
 // Remove withdraws a neighbor permanently: an authoritative failure
 // notification (the oracle path) confirmed it is gone, so it is neither
 // monitored nor probed any more and can never be reintegrated.
 func (d *Detector) Remove(neighbor int) {
-	if ns, ok := d.nbrs[neighbor]; ok {
+	if ns := d.state(neighbor); ns != nil {
 		ns.removed = true
 		ns.suspected = false
 	}
@@ -321,6 +361,6 @@ func (d *Detector) Remove(neighbor int) {
 
 // Removed reports whether the neighbor was withdrawn via Remove.
 func (d *Detector) Removed(neighbor int) bool {
-	ns, ok := d.nbrs[neighbor]
-	return ok && ns.removed
+	ns := d.state(neighbor)
+	return ns != nil && ns.removed
 }

@@ -143,7 +143,7 @@ func TestOutageIntervalNotLearned(t *testing.T) {
 	}
 	d.Check(100) // outage: suspected long ago
 	d.Heard(1, 100)
-	mean, _ := d.nbrs[1].meanStd()
+	mean, _ := d.state(1).meanStd()
 	if mean > 2 {
 		t.Fatalf("outage interval polluted the window: mean inter-arrival %g", mean)
 	}
@@ -154,9 +154,9 @@ func TestWindowSlides(t *testing.T) {
 	for now := 1.0; now <= 100; now++ {
 		d.Heard(1, now)
 	}
-	ns := d.nbrs[1]
-	if len(ns.samples) != 4 {
-		t.Fatalf("window size %d, want 4", len(ns.samples))
+	ns := d.state(1)
+	if len(ns.win.samples) != 4 {
+		t.Fatalf("window size %d, want 4", len(ns.win.samples))
 	}
 	mean, std := ns.meanStd()
 	if math.Abs(mean-1) > 1e-9 || std > 1e-9 {

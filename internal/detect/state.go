@@ -2,38 +2,33 @@ package detect
 
 // Checkpoint support: a detector's suspicion state serialized into the
 // flat snapshot streams of internal/gossip. The per-neighbor records
-// are flattened in ascending neighbor-id order — the map's iteration
-// order must never leak into a snapshot — and each record carries its
-// ring buffer verbatim (contents, write position and running moments),
+// are written in the detector's ascending neighbor-id order, and each
+// record carries its ring buffer verbatim (contents, write position and
+// running moments; all empty before the first observation),
 // so a restored φ-accrual detector produces bit-identical suspicion
 // levels. LoadState targets a detector freshly built by New with the
 // same Config and neighbor set the snapshot was taken under.
 
-import (
-	"sort"
-
-	"pcfreduce/internal/gossip"
-)
+import "pcfreduce/internal/gossip"
 
 // SaveState appends the detector's full mutable state to w.
 func (d *Detector) SaveState(w *gossip.StateWriter) {
-	ids := make([]int, 0, len(d.nbrs))
-	for j := range d.nbrs {
-		ids = append(ids, j)
-	}
-	sort.Ints(ids)
-	w.PutU64(uint64(len(ids)))
-	for _, j := range ids {
-		ns := d.nbrs[j]
-		w.PutI32(int32(j))
+	w.PutU64(uint64(len(d.ids)))
+	for k, j := range d.ids {
+		ns := &d.nbrs[k]
+		a := ns.win
+		if a == nil {
+			a = &arrivals{}
+		}
+		w.PutI32(j)
 		w.PutBool(ns.suspected)
 		w.PutBool(ns.removed)
 		w.PutF64(ns.lastHeard)
-		w.PutU64(uint64(len(ns.samples)))
-		w.PutF64s(ns.samples)
-		w.PutI32(int32(ns.next))
-		w.PutF64(ns.sum)
-		w.PutF64(ns.sumSq)
+		w.PutU64(uint64(len(a.samples)))
+		w.PutF64s(a.samples)
+		w.PutI32(int32(a.next))
+		w.PutF64(a.sum)
+		w.PutF64(a.sumSq)
 	}
 	w.PutU64(uint64(d.Suspicions))
 	w.PutU64(uint64(d.Reintegrations))
@@ -58,8 +53,8 @@ func (d *Detector) LoadState(r *gossip.StateReader) {
 		if r.Err() != nil {
 			return
 		}
-		ns, ok := d.nbrs[j]
-		if !ok {
+		ns := d.state(j)
+		if ns == nil {
 			r.Invalid()
 			return
 		}
@@ -71,10 +66,12 @@ func (d *Detector) LoadState(r *gossip.StateReader) {
 		if xs == nil {
 			return
 		}
-		ns.samples = append(ns.samples[:0], xs...)
-		ns.next = int(r.I32())
-		ns.sum = r.F64()
-		ns.sumSq = r.F64()
+		a := arrivals{next: int(r.I32()), sum: r.F64(), sumSq: r.F64()}
+		ns.win = nil
+		if sl > 0 || a.next != 0 || a.sum != 0 || a.sumSq != 0 {
+			a.samples = append([]float64(nil), xs...)
+			ns.win = &a
+		}
 	}
 	d.Suspicions = int(r.U64())
 	d.Reintegrations = int(r.U64())

@@ -86,8 +86,9 @@ func (n *Node) localInto(dst *gossip.Value) {
 func (n *Node) averagedInto(dst *gossip.Value) {
 	n.localInto(dst)
 	count := 1.0
+	k := -1
 	for _, j := range n.e.Live() {
-		k := n.e.Edge(int(j))
+		k = n.e.NextEdge(k, j)
 		if !n.known[k] {
 			continue
 		}

@@ -14,15 +14,17 @@ import "slices"
 //
 //	vec₀ | vec₁ | … | x | w
 //
-// The vecs are the node's own width-float vectors (input, ϕ, scratch),
+// The vecs are the node's own width-float vectors (input, ϕ, …),
 // whose Value headers stay in the protocol; x holds the slot payloads,
 // width floats each, edge-major, so edge k's slots are k·slots …
 // (k+1)·slots−1 and are contiguous; w holds the slot weights in the same
 // order. Slots have no Value headers of their own: reads build a view
 // on the fly (Slot) and writes go through AddSlot/SetSlot/NegSlot/
-// ZeroSlot, which keep Value's per-component arithmetic, so every result
-// is bitwise what the Value algebra computes. A joining neighbor gets
-// the next edge index, so no existing edge ever changes index.
+// ZeroEdge, which keep Value's per-component arithmetic, so every result
+// is bitwise what the Value algebra computes. A protocol kernel may
+// instead write through the payload view Slot returns and the flat
+// Weights itself (PCF's does). A joining neighbor gets the next edge
+// index, so no existing edge ever changes index.
 //
 // Neighbor ids and the live list share one []int32, the live list
 // capped at the degree so that a reintegration appends in place. The
@@ -125,12 +127,25 @@ func (s *EdgeStore) Edge(neighbor int) int {
 	return -1
 }
 
+// NextEdge returns the edge index of the given neighbor id, or -1 when
+// it is not a neighbor, trying prev+1 first. A walk over the live list
+// that passes each result on as prev resolves every entry that follows
+// its predecessor in the neighbor list without a lookup: all of them
+// until the first failure, and after it all but one per gap and per
+// reintegrated neighbor.
+func (s *EdgeStore) NextEdge(prev int, neighbor int32) int {
+	if q := prev + 1; q < len(s.nbr) && s.nbr[q] == neighbor {
+		return q
+	}
+	return s.Edge(int(neighbor))
+}
+
 // Neighbor returns edge k's neighbor id.
 func (s *EdgeStore) Neighbor(k int) int { return int(s.nbr[k]) }
 
 // AntiSymViolations counts the first flows slots of edge k that are not
-// the bitwise negation (Value.EqualNeg) of the same slots of edge kt in
-// t, the neighbor's store, which must have the same width. With
+// the bitwise negation (up to the sign of zero) of the same slots of
+// edge kt in t, the neighbor's store, which must have the same width. With
 // zeroExempt a slot that is zero (Value.IsZero) on either side never
 // counts. Whether a slot mirrors its peer follows the protocol's
 // exchanges, not a pattern a branch predictor can learn, so the tests
@@ -247,7 +262,7 @@ func (s *EdgeStore) SetSlot(i int, v Value) {
 	s.w[i] = v.W
 }
 
-// NegSlot sets slot i ← −v (Value.SetNeg).
+// NegSlot sets slot i ← −v, component by component.
 func (s *EdgeStore) NegSlot(i int, v Value) {
 	x := s.x[i*s.width : (i+1)*s.width]
 	x = x[:len(v.X)]
@@ -255,12 +270,6 @@ func (s *EdgeStore) NegSlot(i int, v Value) {
 		x[j] = -y
 	}
 	s.w[i] = -v.W
-}
-
-// ZeroSlot sets slot i to zero (Value.Zero).
-func (s *EdgeStore) ZeroSlot(i int) {
-	clear(s.x[i*s.width : (i+1)*s.width])
-	s.w[i] = 0
 }
 
 // ZeroEdge sets every slot of edge k to zero.

@@ -155,7 +155,7 @@ func TestEdgeStoreLoadLiveRejects(t *testing.T) {
 // on every combination of slot contents that decides it: exact mirror,
 // a mismatch in the weight or in one component, a zero side, a
 // negative-zero mirror, both sides zero. For each of the first flows
-// slot pairs it must count exactly when !a.EqualNeg(b), and with
+// slot pairs it must count exactly when !a.Equal(b.Neg()), and with
 // zeroExempt also neither side IsZero.
 func TestEdgeStoreAntiSymViolationsMatchesValues(t *testing.T) {
 	a := Vector([]float64{0.5, -2, 3}, 1.25)
@@ -188,7 +188,7 @@ func TestEdgeStoreAntiSymViolationsMatchesValues(t *testing.T) {
 					for _, exempt := range []bool{false, true} {
 						want := 0
 						for _, p := range pair[:flows] {
-							if !p.x.EqualNeg(p.y) && !(exempt && (p.x.IsZero() || p.y.IsZero())) {
+							if !p.x.Equal(p.y.Neg()) && !(exempt && (p.x.IsZero() || p.y.IsZero())) {
 								want++
 							}
 						}
@@ -199,5 +199,35 @@ func TestEdgeStoreAntiSymViolationsMatchesValues(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEdgeStoreNextEdgeMatchesEdge walks the live list with NextEdge,
+// as Flow Updating's averaging does, through failures, a recovery and
+// a join, on both sides of the id-map cutoff: every entry must resolve
+// to Edge's index.
+func TestEdgeStoreNextEdgeMatchesEdge(t *testing.T) {
+	for _, deg := range []int{6, denseScanMax + 4} {
+		s := filledStore(deg, 2)
+		check := func(step string) {
+			t.Helper()
+			k := -1
+			for _, j := range s.Live() {
+				k = s.NextEdge(k, j)
+				if want := s.Edge(int(j)); k != want {
+					t.Fatalf("deg %d, %s: NextEdge(%d) = %d, Edge = %d", deg, step, j, k, want)
+				}
+			}
+		}
+		check("one failure")
+		s.Fail(2)
+		check("two failures")
+		s.Recover(5)
+		check("recovery")
+		s.Join(1000)
+		check("join")
+	}
+	if k := filledStore(6, 2).NextEdge(-1, 99); k != -1 {
+		t.Fatalf("NextEdge of a non-neighbor = %d, want -1", k)
 	}
 }

@@ -1,50 +1,6 @@
 package gossip
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
-
-func TestSetNegMatchesSetOfNeg(t *testing.T) {
-	u := Vector([]float64{1.5, -2.25, 0}, 3)
-	var a, b Value
-	a.SetNeg(u)
-	b.Set(u.Neg())
-	if !a.Equal(b) {
-		t.Fatalf("SetNeg = %v, Set(Neg) = %v", a, b)
-	}
-	// Reuses the backing slice when widths match.
-	back := &a.X[0]
-	a.SetNeg(u)
-	if &a.X[0] != back {
-		t.Fatal("SetNeg reallocated despite matching width")
-	}
-	// Adapts across widths.
-	a.SetNeg(Scalar(4, 1))
-	if a.Width() != 1 || a.X[0] != -4 || a.W != -1 {
-		t.Fatalf("SetNeg across widths = %v", a)
-	}
-}
-
-func TestEqualNegMatchesEqualOfNeg(t *testing.T) {
-	f := func(x, w float64) bool {
-		v := Vector([]float64{x}, w)
-		u := v.Neg()
-		// EqualNeg(v, u) must agree with v.Equal(u.Neg()) for all inputs,
-		// including NaN (both false) and ±0 (both true).
-		return v.EqualNeg(u) == v.Equal(u.Neg()) && u.EqualNeg(v) == u.Equal(v.Neg())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if Scalar(1, 0).EqualNeg(Vector([]float64{-1, 0}, 0)) {
-		t.Fatal("different widths must not be EqualNeg")
-	}
-	if !Scalar(0, 0).EqualNeg(Scalar(math.Copysign(0, -1), 0)) {
-		t.Fatal("0 and -0 must be EqualNeg")
-	}
-}
+import "testing"
 
 func TestHalfInPlaceMatchesHalf(t *testing.T) {
 	v := Vector([]float64{3, -7}, 5)

@@ -162,7 +162,9 @@ type Reintegrator interface {
 // that width checks and bit-flip injectors observe exactly the shape
 // MakeMessage produces. The engine message's flow backing arrays have
 // the engine's value width; protocols reuse them via Value.Set /
-// Value.CopyFrom.
+// Value.CopyFrom, or write them in place under Set's rule (an array of
+// the value width is kept, any other length replaced), as PCF's
+// FillMessage does.
 type MessageFiller interface {
 	FillMessage(target int, msg *Message)
 }

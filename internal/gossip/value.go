@@ -84,22 +84,6 @@ func (v Value) Equal(u Value) bool {
 	return true
 }
 
-// EqualNeg reports exact (bit-for-bit up to -0 == 0) equality of v and
-// −u without materializing the negation — the allocation-free form of
-// v.Equal(u.Neg()), used on the PCF receive path to test passive-slot
-// flow conservation.
-func (v Value) EqualNeg(u Value) bool {
-	if v.W != -u.W || len(v.X) != len(u.X) {
-		return false
-	}
-	for i, x := range v.X {
-		if x != -u.X[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AddInPlace sets v ← v + u. The widths must match.
 func (v *Value) AddInPlace(u Value) {
 	checkWidth(len(v.X), len(u.X))
@@ -191,19 +175,6 @@ func (v *Value) Set(u Value) {
 	}
 	copy(v.X, u.X)
 	v.W = u.W
-}
-
-// SetNeg sets v ← −u, reusing v's backing slice when the widths match.
-// It is the allocation-free form of v.Set(u.Neg()) used on protocol
-// receive paths, and produces bit-identical results.
-func (v *Value) SetNeg(u Value) {
-	if len(v.X) != len(u.X) {
-		v.X = make([]float64, len(u.X))
-	}
-	for i, x := range u.X {
-		v.X[i] = -x
-	}
-	v.W = -u.W
 }
 
 // CopyFrom copies u into v like Set, but adapts to width changes by

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"pcfreduce/internal/core"
@@ -279,4 +280,29 @@ func TestSimDetectorWithRobustVariant(t *testing.T) {
 	if st := e.DetectorStats(); st.Reintegrations < 2 {
 		t.Errorf("%d reintegrations, want ≥ 2", st.Reintegrations)
 	}
+}
+
+// TestDetectorHeapPerNode: with a detector, building hypercube(12), its
+// PCF protocols and the engine holds under 2 KB of heap per node. Each
+// node's last-send record and detector scale with its degree, not with
+// n (an n-long last-send row per node cost about 8·n bytes per node).
+func TestDetectorHeapPerNode(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := heap()
+	g := topology.Hypercube(12)
+	n := g.N()
+	e := NewScalar(g, makeProtos(n, func() gossip.Protocol { return core.NewEfficient() }),
+		someInputs(n), gossip.Average, 1,
+		WithDetector(DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+	perNode := float64(heap()-base) / float64(n)
+	runtime.KeepAlive(e)
+	if perNode >= 2048 {
+		t.Fatalf("%.0f B of heap per node with a detector, want < 2048", perNode)
+	}
+	t.Logf("%.0f B/node", perNode)
 }

@@ -145,10 +145,8 @@ func (e *Engine) JoinNode(id int, value float64, peers []int) {
 		e.det = append(e.det, detect.New(e.detCfg.Detect, o.Neighbors(id), float64(e.round)))
 		_, reint := p.(gossip.Reintegrator)
 		e.canReint = append(e.canReint, reint && !e.detCfg.DisableReintegration)
-		for i := range e.lastSent {
-			e.lastSent[i] = append(e.lastSent[i], 0)
-		}
-		e.lastSent = append(e.lastSent, make([]int, id+1))
+		e.lastSent = append(e.lastSent, nil)
+		e.clearSent(id)
 	}
 	// Appending to the last shard keeps its id list ascending (a join's id
 	// is always the current maximum), and the id-derived stream makes the
@@ -161,6 +159,7 @@ func (e *Engine) JoinNode(id int, value float64, peers []int) {
 		e.layoutAppend(j, id)
 		if e.det != nil {
 			e.det[j].AddNeighbor(id, float64(e.round))
+			e.growSent(j)
 		}
 	}
 	e.recomputeTargets()
@@ -277,6 +276,8 @@ func (e *Engine) RewireEdge(a, b, c int) {
 	if e.det != nil {
 		e.det[a].AddNeighbor(c, float64(e.round))
 		e.det[c].AddNeighbor(a, float64(e.round))
+		e.growSent(a)
+		e.growSent(c)
 	}
 	e.noteEvent(metrics.Event{Kind: metrics.EvEdgeRewire, Round: e.round, A: a, B: b, Value: float64(c)})
 }
@@ -526,9 +527,6 @@ func (e *Engine) dropMembership() {
 			e.det = e.det[:n]
 			e.canReint = e.canReint[:n]
 			e.lastSent = e.lastSent[:n]
-			for i := range e.lastSent {
-				e.lastSent[i] = e.lastSent[i][:n]
-			}
 		}
 		if e.nodeCkpt != nil {
 			e.nodeCkpt = e.nodeCkpt[:n]

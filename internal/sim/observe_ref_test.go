@@ -95,13 +95,13 @@ func refAntiSym(e *Engine) int {
 				a, okA := si.Slots(j)
 				b, okB := e.protos[j].(slotser).Slots(i)
 				for s := 0; okA && okB && s < 2; s++ {
-					if !a[s].EqualNeg(b[s]) && !a[s].IsZero() && !b[s].IsZero() {
+					if !a[s].Equal(b[s].Neg()) && !a[s].IsZero() && !b[s].IsZero() {
 						count++
 					}
 				}
 				continue
 			}
-			if !p.(gossip.Flows).Flow(j).EqualNeg(e.protos[j].(gossip.Flows).Flow(i)) {
+			if !p.(gossip.Flows).Flow(j).Equal(e.protos[j].(gossip.Flows).Flow(i).Neg()) {
 				count++
 			}
 		}

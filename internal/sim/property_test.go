@@ -111,7 +111,7 @@ func runPropertyCase(c propertyCase, events []fault.Event) error {
 			fi, _ := ni.Slots(j)
 			fj, _ := nj.Slots(i)
 			for s := 0; s < 2; s++ {
-				if !fi[s].EqualNeg(fj[s]) && !fi[s].IsZero() && !fj[s].IsZero() {
+				if !fi[s].Equal(fj[s].Neg()) && !fi[s].IsZero() && !fj[s].IsZero() {
 					return fmt.Errorf("%s: edge (%d,%d) slot %d not anti-symmetric: %v vs %v",
 						tc.name, i, j, s, fi[s], fj[s])
 				}
@@ -124,7 +124,7 @@ func runPropertyCase(c propertyCase, events []fault.Event) error {
 		}
 		fi := fli.Flow(j)
 		fj := pj.(gossip.Flows).Flow(i)
-		if !fi.EqualNeg(fj) {
+		if !fi.Equal(fj.Neg()) {
 			return fmt.Errorf("%s: edge (%d,%d) flows not anti-symmetric: %v vs %v",
 				tc.name, i, j, fi, fj)
 		}

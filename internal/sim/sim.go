@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -140,7 +141,7 @@ type Engine struct {
 	detCfg     *DetectorConfig
 	det        []*detect.Detector
 	canReint   []bool
-	lastSent   [][]int // lastSent[i][j]: round of node i's last send to j
+	lastSent   [][]int // lastSent[i][p]: round of node i's last send to layoutRow(i)[p]
 	keepalives int
 
 	targets     []float64 // oracle aggregate per component
@@ -286,7 +287,7 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 			e.det[i] = detect.New(e.detCfg.Detect, g.Neighbors(i), 0)
 			_, reint := protos[i].(gossip.Reintegrator)
 			e.canReint[i] = reint && !e.detCfg.DisableReintegration
-			e.lastSent[i] = make([]int, n)
+			e.clearSent(i)
 		}
 	}
 	e.initShards(seed)
@@ -351,10 +352,7 @@ func (e *Engine) Reset(seed int64) {
 	if e.detCfg != nil {
 		for i := range e.protos {
 			e.det[i] = detect.New(e.detCfg.Detect, e.graph.Neighbors(i), 0)
-			ls := e.lastSent[i]
-			for j := range ls {
-				ls[j] = 0
-			}
+			e.clearSent(i)
 		}
 	}
 	e.seedNodeRNG(seed)
@@ -671,7 +669,41 @@ func (e *Engine) emit(s int, m *gossip.Message) {
 // scheduling.
 func (e *Engine) noteSent(i, j int) {
 	if e.lastSent != nil {
-		e.lastSent[i][j] = e.round
+		if p := e.sentPos(i, j); p >= 0 {
+			e.lastSent[i][p] = e.round
+		}
+	}
+}
+
+// sentPos is neighbor j's position in node i's storage row, the index of
+// its entry in lastSent[i]; -1 when j is not in the row (every target
+// of a send is).
+func (e *Engine) sentPos(i, j int) int { return slices.Index(e.layoutRow(i), int32(j)) }
+
+// sinceSent is the number of rounds since node i last sent to j.
+func (e *Engine) sinceSent(i, j int) int {
+	if p := e.sentPos(i, j); p >= 0 {
+		return e.round - e.lastSent[i][p]
+	}
+	return e.round
+}
+
+// clearSent gives node i one last-send round per entry of its storage
+// row, all zero.
+func (e *Engine) clearSent(i int) {
+	ls := e.lastSent[i][:0]
+	for range e.layoutRow(i) {
+		ls = append(ls, 0)
+	}
+	e.lastSent[i] = ls
+}
+
+// growSent extends node i's last-send row to its storage row, which
+// only ever grows at its end (layoutRow); a new neighbor starts at
+// round zero.
+func (e *Engine) growSent(i int) {
+	for len(e.lastSent[i]) < len(e.layoutRow(i)) {
+		e.lastSent[i] = append(e.lastSent[i], 0)
 	}
 }
 
@@ -683,12 +715,12 @@ func (e *Engine) noteSent(i, j int) {
 // engine total at the end of the round.
 func (e *Engine) sendKeepalives(i, s int) {
 	for _, j32 := range e.protos[i].LiveNeighbors() {
-		if j := int(j32); e.round-e.lastSent[i][j] >= e.detCfg.KeepaliveInterval {
+		if j := int(j32); e.sinceSent(i, j) >= e.detCfg.KeepaliveInterval {
 			e.keepalive(i, j, s)
 		}
 	}
 	for _, j := range e.det[i].Suspects() {
-		if e.round-e.lastSent[i][j] >= e.detCfg.ProbeInterval {
+		if e.sinceSent(i, j) >= e.detCfg.ProbeInterval {
 			e.keepalive(i, j, s)
 		}
 	}

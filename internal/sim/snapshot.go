@@ -103,7 +103,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		for i := 0; i < n; i++ {
 			e.det[i].SaveState(w)
 			for _, j := range e.neighbors(i) {
-				w.PutU64(uint64(e.lastSent[i][j]))
+				w.PutU64(uint64(e.lastSent[i][e.sentPos(i, int(j))]))
 			}
 		}
 	}
@@ -309,10 +309,7 @@ func (e *Engine) appendNodeScaffold(id int) {
 		e.det = append(e.det, nil) // rebuilt from the main stream
 		_, reint := p.(gossip.Reintegrator)
 		e.canReint = append(e.canReint, reint && !e.detCfg.DisableReintegration)
-		for i := range e.lastSent {
-			e.lastSent[i] = append(e.lastSent[i], 0)
-		}
-		e.lastSent = append(e.lastSent, make([]int, id+1))
+		e.lastSent = append(e.lastSent, nil) // sized from the main stream
 	}
 	e.shard.nodeRNG = append(e.shard.nodeRNG, 0) // overwritten by the main stream
 	e.shard.shardOf = append(e.shard.shardOf, int32(e.shards-1))
@@ -386,12 +383,9 @@ func (e *Engine) Restore(s *Snapshot) error {
 		for i := 0; i < n; i++ {
 			e.det[i] = detect.New(e.detCfg.Detect, e.layoutRow(i), 0)
 			e.det[i].LoadState(r)
-			ls := e.lastSent[i]
-			for j := range ls {
-				ls[j] = 0
-			}
+			e.clearSent(i)
 			for _, j := range e.neighbors(i) {
-				ls[j] = int(r.U64())
+				e.lastSent[i][e.sentPos(i, int(j))] = int(r.U64())
 			}
 		}
 	}
@@ -567,10 +561,7 @@ func (e *Engine) RestartNode(i int) {
 		// triggers an immediate keepalive burst announcing the rebirth
 		// to every live neighbor.
 		e.det[i] = detect.New(e.detCfg.Detect, e.neighbors(i), float64(e.round))
-		ls := e.lastSent[i]
-		for j := range ls {
-			ls[j] = 0
-		}
+		e.clearSent(i)
 	}
 	e.recomputeTargets()
 	e.noteEvent(metrics.Event{Kind: metrics.EvNodeRestart, Round: e.round, A: i, B: -1})
