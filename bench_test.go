@@ -190,10 +190,13 @@ func benchExchange(b *testing.B, mk func() gossip.Protocol) {
 	a, c := mk(), mk()
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 	c.Reset(1, []int32{0}, gossip.Scalar(2, 1))
+	var m gossip.Message
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Receive(a.MakeMessage(1))
-		a.Receive(c.MakeMessage(0))
+		a.FillMessage(1, &m)
+		c.Receive(m)
+		c.FillMessage(0, &m)
+		a.Receive(m)
 	}
 }
 
@@ -222,10 +225,13 @@ func BenchmarkExchangePCFVector16(b *testing.B) {
 	}
 	a.Reset(0, []int32{1}, gossip.Vector(xs, 1))
 	c.Reset(1, []int32{0}, gossip.Vector(xs, 1))
+	var m gossip.Message
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Receive(a.MakeMessage(1))
-		a.Receive(c.MakeMessage(0))
+		a.FillMessage(1, &m)
+		c.Receive(m)
+		c.FillMessage(0, &m)
+		a.Receive(m)
 	}
 }
 
@@ -262,11 +268,13 @@ func BenchmarkEstimateRobust(b *testing.B) {
 func benchEstimate(b *testing.B, n *core.Node) {
 	neighbors := []int32{1, 2, 3, 4, 5, 6}
 	n.Reset(0, neighbors, gossip.Scalar(8, 1))
+	var m gossip.Message
 	for _, j := range neighbors {
-		n.MakeMessage(int(j))
+		n.FillMessage(int(j), &m)
 	}
+	var est []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = n.Estimate()
+		est = n.EstimateInto(est)
 	}
 }

@@ -11,6 +11,11 @@ import (
 	"pcfreduce/internal/topology"
 )
 
+// Fresh-value forms of FillMessage, EstimateInto and LocalValueInto.
+func sendTo(p gossip.Protocol, target int) (m gossip.Message) { p.FillMessage(target, &m); return }
+func estimateOf(p gossip.Protocol) []float64                  { return p.EstimateInto(nil) }
+func localOf(p gossip.Protocol) (v gossip.Value)              { p.LocalValueInto(&v); return }
+
 func protos(n int, v Variant) []gossip.Protocol {
 	out := make([]gossip.Protocol, n)
 	for i := range out {
@@ -53,8 +58,8 @@ func TestCancellationHandshake(t *testing.T) {
 
 		// Several alternating exchanges: a→b, b→a, …
 		for k := 0; k < 10; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(sendTo(a, 1))
+			a.Receive(sendTo(b, 0))
 		}
 		// The handshake must have progressed: r well beyond 1.
 		_, ra := a.RoleState(1)
@@ -63,7 +68,7 @@ func TestCancellationHandshake(t *testing.T) {
 			t.Fatalf("%v: cancellation stalled (r = %d, %d)", variant, ra, rb)
 		}
 		// Estimates converge to the average 4.
-		ea, eb := a.Estimate()[0], b.Estimate()[0]
+		ea, eb := estimateOf(a)[0], estimateOf(b)[0]
 		if math.Abs(ea-4) > 0.2 || math.Abs(eb-4) > 0.2 {
 			t.Fatalf("%v: estimates %.3f %.3f not approaching 4", variant, ea, eb)
 		}
@@ -98,9 +103,9 @@ func TestEquivalenceWithPushFlowExact(t *testing.T) {
 				eEff.Step()
 				eRob.Step()
 				for i := 0; i < n; i++ {
-					pf := ePF.Protocol(i).LocalValue()
-					eff := eEff.Protocol(i).LocalValue()
-					rob := eRob.Protocol(i).LocalValue()
+					pf := localOf(ePF.Protocol(i))
+					eff := localOf(eEff.Protocol(i))
+					rob := localOf(eRob.Protocol(i))
 					if !pf.Equal(eff) {
 						t.Fatalf("%s seed %d round %d node %d: PF %v != PCF-efficient %v",
 							g.Name(), seed, r+1, i, pf, eff)
@@ -171,19 +176,19 @@ func TestOnLinkFailureKeepsEstimate(t *testing.T) {
 		a.Reset(0, []int32{1, 2}, gossip.Scalar(8, 1))
 		b.Reset(1, []int32{0}, gossip.Scalar(2, 1))
 		for k := 0; k < 7; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(sendTo(a, 1))
+			a.Receive(sendTo(b, 0))
 		}
-		beforeA, beforeB := a.LocalValue(), b.LocalValue()
+		beforeA, beforeB := localOf(a), localOf(b)
 		a.OnLinkFailure(1)
 		b.OnLinkFailure(0)
-		if !a.LocalValue().Equal(beforeA) {
+		if !localOf(a).Equal(beforeA) {
 			t.Fatalf("%v: link failure moved node 0 estimate %v → %v",
-				variant, beforeA, a.LocalValue())
+				variant, beforeA, localOf(a))
 		}
-		if !b.LocalValue().Equal(beforeB) {
+		if !localOf(b).Equal(beforeB) {
 			t.Fatalf("%v: link failure moved node 1 estimate %v → %v",
-				variant, beforeB, b.LocalValue())
+				variant, beforeB, localOf(b))
 		}
 		if !a.Flow(1).IsZero() {
 			t.Fatalf("%v: slots not zeroed", variant)
@@ -224,7 +229,7 @@ func TestMassConservedThroughLinkFailure(t *testing.T) {
 func TestReceiveScreensCorruption(t *testing.T) {
 	a := New(VariantEfficient)
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
-	before := a.LocalValue()
+	before := localOf(a)
 	phi := a.Phi()
 	// NaN payload.
 	a.Receive(gossip.Message{From: 1, To: 0,
@@ -238,7 +243,7 @@ func TestReceiveScreensCorruption(t *testing.T) {
 	// Unknown sender.
 	a.Receive(gossip.Message{From: 5, To: 0,
 		Flow1: gossip.Scalar(1, 0), Flow2: gossip.Scalar(0, 0), C: 1, R: 1})
-	if !a.LocalValue().Equal(before) || !a.Phi().Equal(phi) {
+	if !localOf(a).Equal(before) || !a.Phi().Equal(phi) {
 		t.Fatal("corrupted message mutated state")
 	}
 }
@@ -255,8 +260,8 @@ func TestCorruptedPassiveWithPeerAheadIgnored(t *testing.T) {
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 	b.Reset(1, []int32{0}, gossip.Scalar(0, 1))
 	for k := 0; k < 4; k++ {
-		b.Receive(a.MakeMessage(1))
-		a.Receive(b.MakeMessage(0))
+		b.Receive(sendTo(a, 1))
+		a.Receive(sendTo(b, 0))
 	}
 	// Craft the message an honest peer-one-ahead would send (same c,
 	// r = ours+1, passive truly zero), then corrupt the passive floats.
@@ -400,7 +405,7 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 			t.Fatal("must panic")
 		}
 	}()
-	a.MakeMessage(9)
+	sendTo(a, 9)
 }
 
 func TestAccessors(t *testing.T) {
@@ -409,7 +414,7 @@ func TestAccessors(t *testing.T) {
 	if !a.Phi().IsZero() {
 		t.Fatal("initial ϕ must be zero")
 	}
-	a.MakeMessage(1)
+	sendTo(a, 1)
 	if a.Phi().IsZero() {
 		t.Fatal("efficient ϕ must track the virtual send")
 	}
@@ -424,10 +429,10 @@ func TestAccessors(t *testing.T) {
 func TestResetReuse(t *testing.T) {
 	a := New(VariantRobust)
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
-	a.MakeMessage(1)
+	sendTo(a, 1)
 	a.OnLinkFailure(1)
 	a.Reset(5, []int32{6, 7}, gossip.Scalar(3, 1))
-	if lv := a.LocalValue(); lv.X[0] != 3 || lv.W != 1 {
+	if lv := localOf(a); lv.X[0] != 3 || lv.W != 1 {
 		t.Fatalf("after Reset: %v", lv)
 	}
 	if len(a.LiveNeighbors()) != 2 {
@@ -448,7 +453,7 @@ func TestResetReuse(t *testing.T) {
 		}
 		init := gossip.Vector([]float64{3, 0.25}, 1)
 		a.Reset(0, nbrs, init)
-		a.MakeMessage(1)
+		sendTo(a, 1)
 		a.OnLinkFailure(2)
 		if allocs := testing.AllocsPerRun(20, func() { a.Reset(0, nbrs, init) }); allocs != 0 {
 			t.Fatalf("degree %d: Reset over the same neighborhood allocates %v times", deg, allocs)
@@ -479,8 +484,8 @@ func star(v Variant, deg int) (*Node, []*Node) {
 	}
 	for round := 0; round < 5; round++ {
 		for j := 1; j <= deg; j++ {
-			spokes[j].Receive(hub.MakeMessage(j))
-			hub.Receive(spokes[j].MakeMessage(0))
+			spokes[j].Receive(sendTo(hub, j))
+			hub.Receive(sendTo(spokes[j], 0))
 		}
 	}
 	return hub, spokes
@@ -523,7 +528,7 @@ func TestNeighborJoinCrossesMapCutoff(t *testing.T) {
 			c, r := hub.RoleState(j)
 			before[j] = edge{f, c, r, hub.savedEdge(hub.e.Edge(j))}
 		}
-		phi, mass := hub.Phi(), hub.LocalValue()
+		phi, mass := hub.Phi(), localOf(hub)
 
 		for _, id := range []int{100, 101} {
 			hub.OnNeighborJoin(id)
@@ -538,7 +543,7 @@ func TestNeighborJoinCrossesMapCutoff(t *testing.T) {
 				t.Fatalf("%v: eviction snapshot of edge to %d changed by the join", v, j)
 			}
 		}
-		if !sameBits(hub.Phi(), phi) || !sameBits(hub.LocalValue(), mass) {
+		if !sameBits(hub.Phi(), phi) || !sameBits(localOf(hub), mass) {
 			t.Fatalf("%v: join moved ϕ or the local mass", v)
 		}
 		for _, id := range []int{100, 101} {
@@ -555,7 +560,7 @@ func TestNeighborJoinCrossesMapCutoff(t *testing.T) {
 		if f, _ := hub.Slots(5); !sameBits(f[0], before[5].snap.f[0]) || !sameBits(f[1], before[5].snap.f[1]) {
 			t.Fatalf("%v: recovery after the join did not reinstate the frozen edge", v)
 		}
-		msg := hub.MakeMessage(101)
+		msg := sendTo(hub, 101)
 		if msg.Flow1.IsZero() && msg.Flow2.IsZero() {
 			t.Fatalf("%v: send on the joined edge carried no flow", v)
 		}
@@ -578,7 +583,7 @@ func TestRobustLocalMatchesSlotSum(t *testing.T) {
 	if want.IsZero() || hub.Flow(3).IsZero() {
 		t.Fatal("reference is trivial — the test exercises nothing")
 	}
-	if got := hub.LocalValue(); !sameBits(got, want) {
+	if got := localOf(hub); !sameBits(got, want) {
 		t.Fatalf("local mass %v, reference %v", got, want)
 	}
 }
@@ -593,15 +598,15 @@ func TestEvictReintegrateConservesMass(t *testing.T) {
 		a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 		b.Reset(1, []int32{0}, gossip.Scalar(0, 1))
 		for k := 0; k < 6; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(sendTo(a, 1))
+			a.Receive(sendTo(b, 0))
 		}
 
 		// a falsely suspects b: one-sided eviction. The absorb semantics
 		// keep a's estimate unchanged.
-		before := a.Estimate()[0]
+		before := estimateOf(a)[0]
 		a.OnLinkFailure(1)
-		if after := a.Estimate()[0]; math.Abs(after-before) > 1e-15 {
+		if after := estimateOf(a)[0]; math.Abs(after-before) > 1e-15 {
 			t.Fatalf("%v: eviction moved the estimate %.17g -> %.17g", variant, before, after)
 		}
 		if len(a.LiveNeighbors()) != 0 {
@@ -616,14 +621,14 @@ func TestEvictReintegrateConservesMass(t *testing.T) {
 			t.Fatalf("%v: reintegrated neighbor not live", variant)
 		}
 		for k := 0; k < 40; k++ {
-			a.Receive(b.MakeMessage(0))
-			b.Receive(a.MakeMessage(1))
+			a.Receive(sendTo(b, 0))
+			b.Receive(sendTo(a, 1))
 		}
-		ea, eb := a.Estimate()[0], b.Estimate()[0]
+		ea, eb := estimateOf(a)[0], estimateOf(b)[0]
 		if math.Abs(ea-4) > 1e-9 || math.Abs(eb-4) > 1e-9 {
 			t.Fatalf("%v: estimates %.12f %.12f after reintegration, want 4", variant, ea, eb)
 		}
-		ma, mb := a.LocalValue(), b.LocalValue()
+		ma, mb := localOf(a), localOf(b)
 		if total := ma.X[0] + mb.X[0]; math.Abs(total-8) > 1e-12 {
 			t.Fatalf("%v: mass not conserved after evict/reintegrate: %.15f", variant, total)
 		}
@@ -639,18 +644,18 @@ func TestSymmetricEvictReintegrate(t *testing.T) {
 		a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 		b.Reset(1, []int32{0}, gossip.Scalar(0, 1))
 		for k := 0; k < 6; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(sendTo(a, 1))
+			a.Receive(sendTo(b, 0))
 		}
 		a.OnLinkFailure(1)
 		b.OnLinkFailure(0)
 		a.OnLinkRecover(1)
 		b.OnLinkRecover(0)
 		for k := 0; k < 40; k++ {
-			b.Receive(a.MakeMessage(1))
-			a.Receive(b.MakeMessage(0))
+			b.Receive(sendTo(a, 1))
+			a.Receive(sendTo(b, 0))
 		}
-		ea, eb := a.Estimate()[0], b.Estimate()[0]
+		ea, eb := estimateOf(a)[0], estimateOf(b)[0]
 		if math.Abs(ea-4) > 1e-6 || math.Abs(eb-4) > 1e-6 {
 			t.Fatalf("%v: estimates %.9f %.9f after symmetric reintegration", variant, ea, eb)
 		}

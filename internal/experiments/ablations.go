@@ -128,8 +128,8 @@ func Equivalence(dim, rounds int, seed int64, dyadic bool, eps float64) Equivale
 		ePF.Step()
 		ePCF.Step()
 		for i := 0; i < n; i++ {
-			a := ePF.Protocol(i).Estimate()[0]
-			b := ePCF.Protocol(i).Estimate()[0]
+			a := ePF.Protocol(i).EstimateInto(nil)[0]
+			b := ePCF.Protocol(i).EstimateInto(nil)[0]
 			if d := math.Abs(a - b); d > out.MaxDivergence {
 				out.MaxDivergence = d
 			}

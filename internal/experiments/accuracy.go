@@ -148,7 +148,7 @@ func BusExample(algo Algorithm, n int, seed int64) (BusExampleResult, error) {
 	e.Drain()
 	out := BusExampleResult{N: n, Rounds: res.Rounds}
 	for i := 0; i < n; i++ {
-		est := protos[i].Estimate()
+		est := protos[i].EstimateInto(nil)
 		out.Estimates = append(out.Estimates, est[0])
 	}
 	const r = 2 // target average of the Fig. 2 data

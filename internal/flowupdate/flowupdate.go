@@ -63,13 +63,6 @@ func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
 	n.init.Set(init)
 }
 
-// local returns eᵢ = vᵢ − Σ_j f(i,j).
-func (n *Node) local() gossip.Value {
-	var e gossip.Value
-	n.localInto(&e)
-	return e
-}
-
 // localInto computes eᵢ = vᵢ − Σ_j f(i,j) into dst without allocating
 // (beyond growing dst once to the value width).
 func (n *Node) localInto(dst *gossip.Value) {
@@ -102,18 +95,9 @@ func (n *Node) averagedInto(dst *gossip.Value) {
 	dst.W *= scale
 }
 
-// MakeMessage implements gossip.Protocol: move the target's estimate
+// FillMessage implements gossip.Protocol: move the target's estimate
 // toward the local average by adjusting the edge flow, then ship the
 // flow and the average.
-func (n *Node) MakeMessage(target int) gossip.Message {
-	msg := gossip.Message{From: n.id, To: target}
-	n.FillMessage(target, &msg)
-	return msg
-}
-
-// FillMessage implements gossip.MessageFiller: the allocation-free form
-// of MakeMessage (identical state transition, bit-identical wire
-// contents).
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
 	k := n.e.Edge(target)
 	if k < 0 {
@@ -149,17 +133,11 @@ func (n *Node) Receive(msg gossip.Message) {
 	n.known[k] = true
 }
 
-// Estimate implements gossip.Protocol.
-func (n *Node) Estimate() []float64 { return n.local().Estimate() }
-
-// EstimateInto implements gossip.Estimator.
+// EstimateInto implements gossip.Protocol.
 func (n *Node) EstimateInto(dst []float64) []float64 {
 	n.localInto(&n.scratch)
 	return n.scratch.EstimateInto(dst)
 }
-
-// LocalValue implements gossip.Protocol.
-func (n *Node) LocalValue() gossip.Value { return n.local() }
 
 // OnLinkFailure implements gossip.Protocol: zero the edge flow, forget
 // the neighbor's estimate and stop using the link.
@@ -170,7 +148,7 @@ func (n *Node) OnLinkFailure(neighbor int) {
 	}
 }
 
-// OnLinkRecover implements gossip.Reintegrator: re-admit a neighbor
+// OnLinkRecover implements gossip.Protocol: re-admit a neighbor
 // evicted by OnLinkFailure. The edge restarts with a zero flow and no
 // remembered estimate, exactly as after Reset; the averaging dynamics
 // re-learn the neighbor's state from its next message.
@@ -191,16 +169,15 @@ func (n *Node) Flow(neighbor int) gossip.Value {
 	return gossip.NewValue(n.e.Width())
 }
 
-// EdgeView implements gossip.EdgeViewer for the metrics anti-symmetry
+// EdgeView implements gossip.Protocol for the metrics anti-symmetry
 // probe: slot 0 of each edge is its flow (slot 1, the last estimate, is
 // not), with no exemption.
 func (n *Node) EdgeView() (*gossip.EdgeStore, int, bool) { return &n.e, 1, false }
 
-// LocalValueInto implements gossip.MassReader: LocalValue without the
-// allocation.
+// LocalValueInto implements gossip.Protocol.
 func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
 
-// OnNeighborJoin implements gossip.OpenMembership: admit a brand-new
+// OnNeighborJoin implements gossip.Protocol: admit a brand-new
 // neighbor with a zero flow and no remembered estimate (mass-neutral by
 // construction). An edge recreated onto a neighbor we already know
 // reduces to reintegration.
@@ -213,13 +190,13 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 	}
 }
 
-// AbsorbMass implements gossip.OpenMembership: fold a gracefully
+// AbsorbMass implements gossip.Protocol: fold a gracefully
 // departing neighbor's surplus into this node's own contribution.
 func (n *Node) AbsorbMass(v gossip.Value) {
 	n.init.AddInPlace(v)
 }
 
-// SetInput implements gossip.DynamicInput: live-monitoring input change.
+// SetInput implements gossip.Protocol: live-monitoring input change.
 func (n *Node) SetInput(v gossip.Value) {
 	n.init.Set(v)
 }

@@ -10,6 +10,10 @@ import (
 	"pcfreduce/internal/topology"
 )
 
+// Fresh-value forms of FillMessage, EstimateInto and LocalValueInto.
+func sendTo(p gossip.Protocol, target int) (m gossip.Message) { p.FillMessage(target, &m); return }
+func localOf(p gossip.Protocol) (v gossip.Value)              { p.LocalValueInto(&v); return }
+
 func protos(n int) []gossip.Protocol {
 	out := make([]gossip.Protocol, n)
 	for i := range out {
@@ -29,7 +33,7 @@ func inputs(n int) []float64 {
 func TestFirstContactSharesEstimateWithoutMass(t *testing.T) {
 	a := New()
 	a.Reset(0, []int32{1}, gossip.Scalar(6, 1))
-	msg := a.MakeMessage(1)
+	msg := sendTo(a, 1)
 	// Before hearing from the neighbor, no flow mass moves; the message
 	// carries the current (zero) flow and the local estimate.
 	if !msg.Flow1.IsZero() {
@@ -38,7 +42,7 @@ func TestFirstContactSharesEstimateWithoutMass(t *testing.T) {
 	if msg.Flow2.X[0] != 6 || msg.Flow2.W != 1 {
 		t.Fatalf("first-contact estimate = %v", msg.Flow2)
 	}
-	if a.LocalValue().X[0] != 6 {
+	if localOf(a).X[0] != 6 {
 		t.Fatal("first contact moved mass")
 	}
 }
@@ -47,11 +51,11 @@ func TestFlowAdjustsTowardAverage(t *testing.T) {
 	a, b := New(), New()
 	a.Reset(0, []int32{1}, gossip.Scalar(6, 1))
 	b.Reset(1, []int32{0}, gossip.Scalar(0, 1))
-	b.Receive(a.MakeMessage(1)) // b learns a's estimate (6)
-	msgBA := b.MakeMessage(0)   // b averages {0, 6} → 3, flow moves a to 3
+	b.Receive(sendTo(a, 1)) // b learns a's estimate (6)
+	msgBA := sendTo(b, 0)   // b averages {0, 6} → 3, flow moves a to 3
 	a.Receive(msgBA)
 	// a's local value must now be b's computed average.
-	if got := a.LocalValue().X[0]; math.Abs(got-3) > 1e-12 {
+	if got := localOf(a).X[0]; math.Abs(got-3) > 1e-12 {
 		t.Fatalf("a's value after FU exchange = %g, want 3", got)
 	}
 }
@@ -98,14 +102,14 @@ func TestLinkFailureRecovery(t *testing.T) {
 func TestReceiveScreensCorruption(t *testing.T) {
 	a := New()
 	a.Reset(0, []int32{1}, gossip.Scalar(6, 1))
-	before := a.LocalValue()
+	before := localOf(a)
 	a.Receive(gossip.Message{From: 1, To: 0,
 		Flow1: gossip.Scalar(math.NaN(), 0), Flow2: gossip.Scalar(0, 0)})
 	a.Receive(gossip.Message{From: 1, To: 0,
 		Flow1: gossip.Scalar(0, 0), Flow2: gossip.Scalar(math.Inf(1), 0)})
 	a.Receive(gossip.Message{From: 7, To: 0,
 		Flow1: gossip.Scalar(0, 0), Flow2: gossip.Scalar(0, 0)})
-	if !a.LocalValue().Equal(before) {
+	if !localOf(a).Equal(before) {
 		t.Fatal("corrupted/unknown message mutated state")
 	}
 }
@@ -125,7 +129,7 @@ func TestOnLinkFailureForgets(t *testing.T) {
 	// Zeroing the flow reclaimed the transferred mass (local back to 6),
 	// and the forgotten neighbor's estimate must not influence
 	// averaging: a's next message to 2 averages only a's own estimate.
-	msg := a.MakeMessage(2)
+	msg := sendTo(a, 2)
 	if got := msg.Flow2.X[0]; math.Abs(got-6) > 1e-12 {
 		t.Fatalf("average after forget = %g, want own estimate 6", got)
 	}
@@ -137,7 +141,7 @@ func TestResetReuse(t *testing.T) {
 	a.Receive(gossip.Message{From: 1, To: 0,
 		Flow1: gossip.Scalar(-1, 0), Flow2: gossip.Scalar(4, 1)})
 	a.Reset(2, []int32{3}, gossip.Scalar(9, 1))
-	if lv := a.LocalValue(); lv.X[0] != 9 {
+	if lv := localOf(a); lv.X[0] != 9 {
 		t.Fatalf("after Reset: %v", lv)
 	}
 	if !a.Flow(3).IsZero() {

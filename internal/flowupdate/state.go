@@ -1,6 +1,6 @@
 package flowupdate
 
-// Checkpoint support (gossip.Snapshotter): Flow Updating's mutable
+// Checkpoint support: Flow Updating's mutable
 // state is the input value, the flow payloads, the last-reported
 // neighbor estimate payloads, the slot weights (flow and estimate per
 // edge), the known flags, and the live list. The payloads are written
@@ -11,7 +11,7 @@ package flowupdate
 
 import "pcfreduce/internal/gossip"
 
-// SaveState implements gossip.Snapshotter.
+// SaveState implements gossip.Protocol.
 func (n *Node) SaveState(w *gossip.StateWriter) {
 	w.PutValue(n.init)
 	for j := 0; j < 2; j++ {
@@ -26,7 +26,7 @@ func (n *Node) SaveState(w *gossip.StateWriter) {
 	n.e.SaveLive(w)
 }
 
-// LoadState implements gossip.Snapshotter. The node must have been
+// LoadState implements gossip.Protocol. The node must have been
 // Reset with the same (id, neighbors, width) the snapshot was taken
 // under; failures surface via the reader's sticky error.
 func (n *Node) LoadState(r *gossip.StateReader) {

@@ -15,8 +15,9 @@ import (
 // FillMessage sets every field of the message itself — From, To, Kind,
 // C, R and both flows — because the engine reuses its message slots
 // without resetting them. For each built-in protocol, a node filling a
-// message full of junk must produce exactly what its twin's MakeMessage
-// builds, exchange after exchange, while peers answer both twins alike.
+// message full of junk must produce exactly what its twin fills into a
+// zero message, exchange after exchange, while peers answer both twins
+// alike.
 func TestFillMessageSetsEveryField(t *testing.T) {
 	for _, p := range []struct {
 		name string
@@ -29,7 +30,8 @@ func TestFillMessageSetsEveryField(t *testing.T) {
 		{"push-sum", func() gossip.Protocol { return pushsum.New() }},
 	} {
 		t.Run(p.name, func(t *testing.T) {
-			// Node 0 of the star 0–{1, 2}: twin a builds, twin b fills.
+			// Node 0 of the star 0–{1, 2}: twin a fills zero messages,
+			// twin b junk ones.
 			neighbors := []int32{1, 2}
 			init := gossip.Vector([]float64{3, -1.5}, 1)
 			a, b := p.new(), p.new()
@@ -43,20 +45,22 @@ func TestFillMessageSetsEveryField(t *testing.T) {
 			roleChanged := false
 			for step := range 16 {
 				target := int(neighbors[step%len(neighbors)])
-				want := a.MakeMessage(target)
+				var want gossip.Message
+				a.FillMessage(target, &want)
 				got := gossip.Message{
 					From: 77, To: 99, Kind: gossip.KindKeepalive, C: 7, R: 12345,
 					Flow1: gossip.Vector([]float64{math.NaN(), 8}, -4),
 					Flow2: gossip.Vector([]float64{5, math.Inf(1)}, 9),
 				}
-				b.(gossip.MessageFiller).FillMessage(target, &got)
+				b.FillMessage(target, &got)
 				if !sameMessage(got, want) {
-					t.Fatalf("step %d: FillMessage over junk gave %v, MakeMessage %v", step, got, want)
+					t.Fatalf("step %d: FillMessage over junk gave %v, over a zero message %v", step, got, want)
 				}
 				roleChanged = roleChanged || want.R > 0
 				peer := peers[target]
 				peer.Receive(want)
-				reply := peer.MakeMessage(0)
+				var reply gossip.Message
+				peer.FillMessage(0, &reply)
 				a.Receive(reply)
 				b.Receive(reply)
 			}

@@ -81,7 +81,9 @@ func (m Message) String() string {
 }
 
 // Protocol is the node-local state machine implemented by every reduction
-// algorithm. One Protocol instance exists per node; the engines
+// algorithm, and the one contract between a protocol and the engines:
+// every operation an engine calls is listed here, and the engines call
+// nothing else. One Protocol instance exists per node; the engines
 // (internal/sim for deterministic rounds, internal/runtime for
 // asynchronous goroutine execution) own the communication schedule and
 // drive the instances.
@@ -100,11 +102,19 @@ type Protocol interface {
 	// reused instances.
 	Reset(node int, neighbors []int32, init Value)
 
-	// MakeMessage produces the message this node would push to the given
-	// neighbor now, applying any local state updates the protocol's send
-	// step prescribes (e.g. PF's "virtual send" f ← f + e/2). The target
-	// must be one of the node's live neighbors.
-	MakeMessage(target int) Message
+	// FillMessage writes into msg the message this node pushes to the
+	// given live neighbor now, applying the local state updates the
+	// protocol's send step prescribes (e.g. PF's "virtual send"
+	// f ← f + e/2). Engines reuse their messages without resetting them,
+	// so FillMessage sets every field itself — From, To, Kind (KindData),
+	// C and R (zero where unused) and both flows — whatever msg held
+	// before, and leaves an unused flow truncated to zero width
+	// (msg.FlowN.X = msg.FlowN.X[:0], W = 0), so that width checks and
+	// bit-flip injectors see the same shape whatever msg held. A flow
+	// backing array of the value width is written in place (Value.Set's
+	// rule: any other length is replaced), so a caller that needs a
+	// fresh message fills a zero Message.
+	FillMessage(target int, msg *Message)
 
 	// Receive processes a delivered message. The message may have been
 	// corrupted or duplicated by fault injection; protocols must not
@@ -114,99 +124,95 @@ type Protocol interface {
 	// the call.
 	Receive(msg Message)
 
-	// Estimate returns the node's current estimate of the global
-	// aggregate (component-wise X/W of its local mass).
-	Estimate() []float64
+	// EstimateInto writes the node's current estimate of the global
+	// aggregate (component-wise X/W of its local mass) into dst, reusing
+	// its backing array when the capacity suffices, and returns the
+	// slice; EstimateInto(nil) returns a fresh one.
+	EstimateInto(dst []float64) []float64
 
-	// LocalValue returns the node's current local mass (value and
-	// weight), i.e. its initial data minus outstanding flows. Σ over all
-	// nodes of LocalValue is the conserved global mass when flow
-	// conservation holds.
-	LocalValue() Value
+	// LocalValueInto writes the node's current local mass (value and
+	// weight), i.e. its initial data minus outstanding flows, into dst,
+	// reusing dst's backing. Σ over all nodes of the local mass is the
+	// conserved global mass when flow conservation holds.
+	LocalValueInto(dst *Value)
 
 	// OnLinkFailure informs the node that the link to the given neighbor
-	// has permanently failed. The protocol excludes the neighbor from
-	// the computation (for flow algorithms: zeroes the corresponding
-	// flow variables, per Section II-A of the paper).
+	// has failed. The protocol excludes the neighbor from the
+	// computation (for flow algorithms: zeroes the corresponding flow
+	// variables, per Section II-A of the paper).
 	OnLinkFailure(neighbor int)
+
+	// OnLinkRecover undoes OnLinkFailure's exclusion for self-healing
+	// engines: a failure detector that evicted a neighbor on suspicion
+	// restores it when traffic resumes (the suspicion was false, or the
+	// outage was transient). The neighbor rejoins LiveNeighbors, and the
+	// edge's flow state restarts from zero (PF, FU) or from the state
+	// frozen at eviction (PCF), either of which the next exchange
+	// reconciles with the peer's. Calling it for a live (or unknown)
+	// neighbor is a no-op.
+	OnLinkRecover(neighbor int)
 
 	// LiveNeighbors returns the neighbors not excluded by OnLinkFailure,
 	// in stable order. The engine draws push targets from this set.
 	LiveNeighbors() []int32
-}
 
-// Reintegrator is an optional Protocol extension for self-healing
-// engines: a failure detector that evicted a neighbor on suspicion can
-// restore it when traffic resumes (the suspicion was false, or the
-// outage was transient). OnLinkRecover undoes OnLinkFailure's exclusion:
-// the neighbor rejoins LiveNeighbors and the per-edge flow state restarts
-// from zero on both endpoints — a fresh edge carries no mass, so
-// reintegration is exactly as cheap as PCF's failure handling. All
-// protocols in this repository implement it.
-type Reintegrator interface {
-	// OnLinkRecover restores a neighbor previously excluded by
-	// OnLinkFailure. Calling it for a live (or unknown) neighbor is a
-	// no-op.
-	OnLinkRecover(neighbor int)
-}
+	// OnNeighborJoin admits a brand-new neighbor (one that was not in
+	// the Reset neighbor list) for open-world churn: the protocol grows
+	// its per-edge state by one zero-flow edge and appends the neighbor
+	// to its live list. A zero flow carries no mass, so admitting an
+	// edge is mass-neutral. Engines call it on both endpoints of every
+	// edge a join or a rewire creates.
+	OnNeighborJoin(neighbor int)
 
-// MessageFiller is an optional Protocol extension for allocation-free
-// engines: instead of returning a freshly allocated Message, the
-// protocol fills an engine-owned one in place. The engine reuses its
-// messages without resetting them, so FillMessage sets every field
-// itself — From, To, Kind (KindData), C and R (zero where unused) and
-// both flows — whatever the message held before. FillMessage must be
-// numerically identical to MakeMessage — same state transition,
-// bit-identical wire contents — and must leave any unused flow
-// truncated to zero width (msg.FlowN.X = msg.FlowN.X[:0], W = 0) so
-// that width checks and bit-flip injectors observe exactly the shape
-// MakeMessage produces. The engine message's flow backing arrays have
-// the engine's value width; protocols reuse them via Value.Set /
-// Value.CopyFrom, or write them in place under Set's rule (an array of
-// the value width is kept, any other length replaced), as PCF's
-// FillMessage does.
-type MessageFiller interface {
-	FillMessage(target int, msg *Message)
-}
+	// AbsorbMass folds v into the node's own initial contribution,
+	// raising its local mass and nothing else (flows and live lists are
+	// untouched). Engines use it to hand a gracefully departing
+	// neighbor's surplus to a survivor, keeping the global mass over the
+	// live roster exact across the departure. Unlike SetInput it adds to
+	// the input, and the engine's oracle keeps attributing the mass to
+	// the node that first contributed it.
+	AbsorbMass(v Value)
 
-// Estimator is an optional Protocol extension for allocation-free
-// engines: EstimateInto writes the node's current estimate into dst
-// (reusing its backing array when capacity suffices) and returns the
-// slice, avoiding Estimate's per-call allocation on oracle error scans.
-type Estimator interface {
-	EstimateInto(dst []float64) []float64
+	// SetInput replaces the node's input for live monitoring (the
+	// paper's reference [8], LiMoSense): the estimates re-converge to
+	// the new aggregate without a restart. Flow algorithms shift only
+	// the local mass, since it is the input minus outstanding flows;
+	// push-sum adds the input delta to its mass. The weight must equal
+	// the original weight (the aggregate's weighting is fixed at Reset).
+	SetInput(v Value)
+
+	// SaveState appends every piece of mutable protocol state to the
+	// writer in a fixed order, for checkpoints.
+	SaveState(w *StateWriter)
+
+	// LoadState reads SaveState's stream back into a node that has been
+	// Reset with the identical (id, neighbors, init width), fully
+	// overwriting the post-Reset state, so Reset-then-LoadState
+	// reproduces the saved node bit for bit (including the verbatim
+	// live-neighbor order, on which floating-point results may depend).
+	// Failures are reported through the reader's sticky error.
+	LoadState(r *StateReader)
+
+	// EdgeView returns the node's edge store (read-only; valid until the
+	// protocol's next state change) for the metrics anti-symmetry probe:
+	// how many leading slots of each edge hold flows, and whether a slot
+	// that is zero on either side of an edge is exempt from the
+	// anti-symmetry invariant. PCF reports its two cancellation slots
+	// with the zero side exempt (a cancelled or not yet staged slot is
+	// legitimately empty); PF and FU report slot 0, their one flow, with
+	// no exemption, since their exchange overwrites the mirror in one
+	// step; push-sum reports 0 flows.
+	EdgeView() (s *EdgeStore, flows int, zeroExempt bool)
 }
 
 // Flows is an optional interface exposing a protocol's per-neighbor flow
 // state, used by tests and by the bus-network worked example (paper
-// Fig. 2) to assert equilibrium flow values.
+// Fig. 2) to assert equilibrium flow values. Push-sum, which has no
+// flows, does not implement it.
 type Flows interface {
 	// Flow returns the protocol's current net flow from this node to the
 	// given neighbor (for PCF: the sum of both slots plus cancelled mass
 	// attributed to that edge is not meaningful, so PCF returns the sum
 	// of the two live slots).
 	Flow(neighbor int) Value
-}
-
-// MassReader is an optional Protocol extension for allocation-free
-// invariant probes: LocalValueInto writes the node's current local mass
-// (the LocalValue result) into dst, reusing dst's backing, instead of
-// allocating a fresh Value. The metrics layer sums these across a
-// million nodes every probe, so the per-node allocation of LocalValue
-// would dominate; all protocols in this repository implement it.
-type MassReader interface {
-	LocalValueInto(dst *Value)
-}
-
-// EdgeViewer is an optional Protocol extension for allocation-free
-// probes of the per-edge flow state: EdgeView returns the node's edge
-// store (read-only; valid until the protocol's next state change), how
-// many leading slots of each edge hold flows, and whether a slot that
-// is zero on either side of an edge is exempt from the anti-symmetry
-// invariant. PCF reports its two cancellation slots with the zero side
-// exempt (a cancelled or not yet staged slot is legitimately empty);
-// PF and FU report slot 0, their one flow, with no exemption — their
-// exchange overwrites the mirror in one step.
-type EdgeViewer interface {
-	EdgeView() (s *EdgeStore, flows int, zeroExempt bool)
 }

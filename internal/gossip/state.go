@@ -213,20 +213,3 @@ func (r *StateReader) Value(v *Value) {
 	copy(v.X, xs)
 	v.W = r.F64()
 }
-
-// Snapshotter is the optional Protocol extension for checkpointing:
-// SaveState appends every piece of mutable protocol state to the
-// writer in a fixed order, and LoadState reads it back in the same
-// order into a node that has been Reset with the identical (id,
-// neighbors, init width) — fully overwriting the post-Reset state, so
-// Reset-then-LoadState reproduces the saved node bit for bit
-// (including the verbatim live-neighbor order, which protocols whose
-// floating-point results depend on iteration order must preserve).
-// LoadState reports failures through the reader's sticky error.
-//
-// All four reduction protocols in this repository implement it; the
-// simulator's Engine.Snapshot requires it.
-type Snapshotter interface {
-	SaveState(w *StateWriter)
-	LoadState(r *StateReader)
-}

@@ -58,31 +58,15 @@ func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
 	n.init.Set(init)
 }
 
-// local returns the node's current mass vᵢ − Σ_j f(i,j).
-func (n *Node) local() gossip.Value {
-	var e gossip.Value
-	n.localInto(&e)
-	return e
-}
-
-// localInto computes the node's current mass into dst without allocating
-// (beyond growing dst once to the value width).
+// localInto computes the node's current mass vᵢ − Σ_j f(i,j) into dst
+// without allocating (beyond growing dst once to the value width).
 func (n *Node) localInto(dst *gossip.Value) {
 	dst.Set(n.init)
 	n.e.SubSlots(dst, 1)
 }
 
-// MakeMessage implements gossip.Protocol: virtual-send half the local
+// FillMessage implements gossip.Protocol: virtual-send half the local
 // mass into f(i,k), then physically send the whole flow variable.
-func (n *Node) MakeMessage(target int) gossip.Message {
-	msg := gossip.Message{From: n.id, To: target}
-	n.FillMessage(target, &msg)
-	return msg
-}
-
-// FillMessage implements gossip.MessageFiller: the allocation-free form
-// of MakeMessage, performing the identical state transition and
-// producing bit-identical wire contents into a pooled message.
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
 	k := n.e.Edge(target)
 	if k < 0 {
@@ -116,17 +100,11 @@ func (n *Node) Receive(msg gossip.Message) {
 	n.e.NegSlot(k, msg.Flow1)
 }
 
-// Estimate implements gossip.Protocol.
-func (n *Node) Estimate() []float64 { return n.local().Estimate() }
-
-// EstimateInto implements gossip.Estimator.
+// EstimateInto implements gossip.Protocol.
 func (n *Node) EstimateInto(dst []float64) []float64 {
 	n.localInto(&n.scratch)
 	return n.scratch.EstimateInto(dst)
 }
-
-// LocalValue implements gossip.Protocol.
-func (n *Node) LocalValue() gossip.Value { return n.local() }
 
 // OnLinkFailure implements gossip.Protocol: algorithmically exclude the
 // failed link by zeroing its flow variable (paper Sec. II-A). This is
@@ -138,7 +116,7 @@ func (n *Node) OnLinkFailure(neighbor int) {
 	}
 }
 
-// OnLinkRecover implements gossip.Reintegrator: re-admit a neighbor
+// OnLinkRecover implements gossip.Protocol: re-admit a neighbor
 // evicted by OnLinkFailure. The flow variable restarts from zero — for
 // PF the peer's mirror was (or will be, once it reintegrates us) zeroed
 // too, and the first exchange overwrites both halves anyway, so the edge
@@ -157,28 +135,27 @@ func (n *Node) Flow(neighbor int) gossip.Value {
 	return gossip.NewValue(n.e.Width())
 }
 
-// EdgeView implements gossip.EdgeViewer for the metrics anti-symmetry
+// EdgeView implements gossip.Protocol for the metrics anti-symmetry
 // probe: each edge's one slot is its flow, with no exemption.
 func (n *Node) EdgeView() (*gossip.EdgeStore, int, bool) { return &n.e, 1, false }
 
-// LocalValueInto implements gossip.MassReader: LocalValue without the
-// allocation.
+// LocalValueInto implements gossip.Protocol.
 func (n *Node) LocalValueInto(dst *gossip.Value) { n.localInto(dst) }
 
-// OnNeighborJoin implements gossip.OpenMembership: admit a brand-new
+// OnNeighborJoin implements gossip.Protocol: admit a brand-new
 // neighbor with a zero-flow edge (mass-neutral by construction). An edge
 // recreated onto a neighbor we already know reduces to reintegration
 // (zero-flow restart).
 func (n *Node) OnNeighborJoin(neighbor int) { n.e.Join(neighbor, &n.init, &n.scratch) }
 
-// AbsorbMass implements gossip.OpenMembership: fold a gracefully
+// AbsorbMass implements gossip.Protocol: fold a gracefully
 // departing neighbor's surplus into this node's own contribution. Flows
 // are untouched, so the local estimate rises by exactly v.
 func (n *Node) AbsorbMass(v gossip.Value) {
 	n.init.AddInPlace(v)
 }
 
-// SetInput implements gossip.DynamicInput: live-monitoring input change.
+// SetInput implements gossip.Protocol: live-monitoring input change.
 // Flows are untouched; the local estimate shifts by the input delta and
 // the network re-averages it.
 func (n *Node) SetInput(v gossip.Value) {

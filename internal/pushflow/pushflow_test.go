@@ -9,6 +9,10 @@ import (
 	"pcfreduce/internal/topology"
 )
 
+// Fresh-value forms of FillMessage, EstimateInto and LocalValueInto.
+func sendTo(p gossip.Protocol, target int) (m gossip.Message) { p.FillMessage(target, &m); return }
+func localOf(p gossip.Protocol) (v gossip.Value)              { p.LocalValueInto(&v); return }
+
 func protos(n int) []gossip.Protocol {
 	out := make([]gossip.Protocol, n)
 	for i := range out {
@@ -20,20 +24,20 @@ func protos(n int) []gossip.Protocol {
 func TestVirtualThenPhysicalSend(t *testing.T) {
 	n := New()
 	n.Reset(0, []int32{1}, gossip.Scalar(8, 1))
-	msg := n.MakeMessage(1)
+	msg := sendTo(n, 1)
 	// Virtual send: f(0,1) = e/2 = (4, 0.5); the message carries it.
 	if msg.Flow1.X[0] != 4 || msg.Flow1.W != 0.5 {
 		t.Fatalf("message flow = %v", msg.Flow1)
 	}
 	// Local mass after the virtual send is halved.
-	lv := n.LocalValue()
+	lv := localOf(n)
 	if lv.X[0] != 4 || lv.W != 0.5 {
 		t.Fatalf("local value = %v", lv)
 	}
 	// The message must not alias internal state.
 	msg.Flow1.X[0] = 999
 	if n.Flow(1).X[0] != 4 {
-		t.Fatal("MakeMessage aliased the flow variable")
+		t.Fatal("FillMessage aliased the flow variable")
 	}
 }
 
@@ -41,14 +45,14 @@ func TestReceiveNegates(t *testing.T) {
 	a, b := New(), New()
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 	b.Reset(1, []int32{0}, gossip.Scalar(0, 1))
-	msg := a.MakeMessage(1)
+	msg := sendTo(a, 1)
 	b.Receive(msg)
 	// Flow conservation: f(1,0) = −f(0,1).
 	if got := b.Flow(0); !got.Equal(a.Flow(1).Neg()) {
 		t.Fatalf("f(1,0) = %v, want negation of %v", got, a.Flow(1))
 	}
 	// Mass moved: b now holds its own mass plus the transfer.
-	lv := b.LocalValue()
+	lv := localOf(b)
 	if lv.X[0] != 4 || lv.W != 1.5 {
 		t.Fatalf("receiver local value = %v", lv)
 	}
@@ -60,12 +64,12 @@ func TestReceiveIdempotent(t *testing.T) {
 	a, b := New(), New()
 	a.Reset(0, []int32{1}, gossip.Scalar(8, 1))
 	b.Reset(1, []int32{0}, gossip.Scalar(2, 1))
-	msg := a.MakeMessage(1)
+	msg := sendTo(a, 1)
 	b.Receive(msg)
-	before := b.LocalValue()
+	before := localOf(b)
 	b.Receive(msg)
 	b.Receive(msg)
-	if !b.LocalValue().Equal(before) {
+	if !localOf(b).Equal(before) {
 		t.Fatal("duplicate delivery changed state")
 	}
 }
@@ -73,20 +77,20 @@ func TestReceiveIdempotent(t *testing.T) {
 func TestReceiveScreensCorruption(t *testing.T) {
 	b := New()
 	b.Reset(1, []int32{0}, gossip.Scalar(2, 1))
-	before := b.LocalValue()
+	before := localOf(b)
 	// NaN payload must be discarded.
 	b.Receive(gossip.Message{From: 0, To: 1, Flow1: gossip.Scalar(math.NaN(), 1)})
-	if !b.LocalValue().Equal(before) {
+	if !localOf(b).Equal(before) {
 		t.Fatal("NaN payload accepted")
 	}
 	// Unknown sender ignored.
 	b.Receive(gossip.Message{From: 9, To: 1, Flow1: gossip.Scalar(1, 1)})
-	if !b.LocalValue().Equal(before) {
+	if !localOf(b).Equal(before) {
 		t.Fatal("unknown sender accepted")
 	}
 	// Wrong width ignored.
 	b.Receive(gossip.Message{From: 0, To: 1, Flow1: gossip.NewValue(3)})
-	if !b.LocalValue().Equal(before) {
+	if !localOf(b).Equal(before) {
 		t.Fatal("wrong width accepted")
 	}
 }
@@ -94,15 +98,15 @@ func TestReceiveScreensCorruption(t *testing.T) {
 func TestOnLinkFailureReclaimsFlow(t *testing.T) {
 	a := New()
 	a.Reset(0, []int32{1, 2}, gossip.Scalar(8, 1))
-	a.MakeMessage(1) // f(0,1) = (4, 0.5)
-	if a.LocalValue().X[0] != 4 {
+	sendTo(a, 1) // f(0,1) = (4, 0.5)
+	if localOf(a).X[0] != 4 {
 		t.Fatal("setup failed")
 	}
 	a.OnLinkFailure(1)
 	// Zeroing the flow gives the mass back — the estimate jump that
 	// causes PF's restart problem.
-	if a.LocalValue().X[0] != 8 {
-		t.Fatalf("local value after failure = %v, want full reclaim", a.LocalValue())
+	if localOf(a).X[0] != 8 {
+		t.Fatalf("local value after failure = %v, want full reclaim", localOf(a))
 	}
 	if got := a.LiveNeighbors(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("live neighbors = %v", got)
@@ -120,19 +124,19 @@ func TestSendToNonNeighborPanics(t *testing.T) {
 			t.Fatal("must panic")
 		}
 	}()
-	a.MakeMessage(5)
+	sendTo(a, 5)
 }
 
 func TestResetReusesInstance(t *testing.T) {
 	a := New()
 	a.Reset(0, []int32{1, 2}, gossip.Scalar(5, 1))
-	a.MakeMessage(1)
+	sendTo(a, 1)
 	a.OnLinkFailure(2)
 	a.Reset(3, []int32{4}, gossip.Scalar(7, 1))
 	if got := a.LiveNeighbors(); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("live neighbors after Reset = %v", got)
 	}
-	if lv := a.LocalValue(); lv.X[0] != 7 || lv.W != 1 {
+	if lv := localOf(a); lv.X[0] != 7 || lv.W != 1 {
 		t.Fatalf("local value after Reset = %v", lv)
 	}
 	if !a.Flow(4).IsZero() {

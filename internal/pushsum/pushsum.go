@@ -43,17 +43,8 @@ func (n *Node) Reset(node int, neighbors []int32, init gossip.Value) {
 	n.lastInput.Set(init)
 }
 
-// MakeMessage implements gossip.Protocol: halve the local mass and ship
+// FillMessage implements gossip.Protocol: halve the local mass and ship
 // the other half.
-func (n *Node) MakeMessage(target int) gossip.Message {
-	msg := gossip.Message{From: n.id, To: target}
-	n.FillMessage(target, &msg)
-	return msg
-}
-
-// FillMessage implements gossip.MessageFiller: the allocation-free form
-// of MakeMessage (identical state transition, bit-identical wire
-// contents).
 func (n *Node) FillMessage(target int, msg *gossip.Message) {
 	msg.From, msg.To, msg.Kind = n.id, target, gossip.KindData
 	msg.C, msg.R = 0, 0
@@ -76,17 +67,10 @@ func (n *Node) Receive(msg gossip.Message) {
 	n.mass.AddInPlace(msg.Flow1)
 }
 
-// Estimate implements gossip.Protocol.
-func (n *Node) Estimate() []float64 { return n.mass.Estimate() }
-
-// EstimateInto implements gossip.Estimator.
+// EstimateInto implements gossip.Protocol.
 func (n *Node) EstimateInto(dst []float64) []float64 { return n.mass.EstimateInto(dst) }
 
-// LocalValue implements gossip.Protocol.
-func (n *Node) LocalValue() gossip.Value { return n.mass.Clone() }
-
-// LocalValueInto implements gossip.MassReader: LocalValue without the
-// allocation.
+// LocalValueInto implements gossip.Protocol.
 func (n *Node) LocalValueInto(dst *gossip.Value) { dst.Set(n.mass) }
 
 // OnLinkFailure implements gossip.Protocol. Push-sum has no per-link
@@ -97,7 +81,7 @@ func (n *Node) OnLinkFailure(neighbor int) {
 	n.e.Fail(neighbor)
 }
 
-// OnLinkRecover implements gossip.Reintegrator: resume using the link.
+// OnLinkRecover implements gossip.Protocol: resume using the link.
 // Push-sum keeps no per-link state, so reintegration is pure membership;
 // mass lost to messages dropped during the outage stays lost (the same
 // fragility OnLinkFailure documents).
@@ -108,7 +92,11 @@ func (n *Node) OnLinkRecover(neighbor int) {
 // LiveNeighbors implements gossip.Protocol.
 func (n *Node) LiveNeighbors() []int32 { return n.e.Live() }
 
-// OnNeighborJoin implements gossip.OpenMembership. Push-sum keeps no
+// EdgeView implements gossip.Protocol: push-sum keeps no flows, so the
+// anti-symmetry probe has nothing to check.
+func (n *Node) EdgeView() (*gossip.EdgeStore, int, bool) { return &n.e, 0, false }
+
+// OnNeighborJoin implements gossip.Protocol. Push-sum keeps no
 // per-edge state, so admitting a brand-new neighbor is pure membership;
 // an edge recreated onto a previously failed neighbor reduces to
 // reintegration.
@@ -116,14 +104,14 @@ func (n *Node) OnNeighborJoin(neighbor int) {
 	n.e.Join(neighbor, &n.mass, &n.lastInput)
 }
 
-// AbsorbMass implements gossip.OpenMembership: fold a gracefully
+// AbsorbMass implements gossip.Protocol: fold a gracefully
 // departing neighbor's surplus into the local mass, keeping the global
 // sum over the live roster exact.
 func (n *Node) AbsorbMass(v gossip.Value) {
 	n.mass.AddInPlace(v)
 }
 
-// SetInput implements gossip.DynamicInput: the input delta is added to
+// SetInput implements gossip.Protocol: the input delta is added to
 // the current mass (push-sum keeps no input/flow separation). Note that
 // the adjustment inherits push-sum's fragility: if any message carrying
 // a share of it is lost, the correction is permanently incomplete.

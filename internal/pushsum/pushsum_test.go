@@ -9,6 +9,11 @@ import (
 	"pcfreduce/internal/topology"
 )
 
+// Fresh-value forms of FillMessage, EstimateInto and LocalValueInto.
+func sendTo(p gossip.Protocol, target int) (m gossip.Message) { p.FillMessage(target, &m); return }
+func estimateOf(p gossip.Protocol) []float64                  { return p.EstimateInto(nil) }
+func localOf(p gossip.Protocol) (v gossip.Value)              { p.LocalValueInto(&v); return }
+
 func protos(n int) []gossip.Protocol {
 	out := make([]gossip.Protocol, n)
 	for i := range out {
@@ -20,17 +25,17 @@ func protos(n int) []gossip.Protocol {
 func TestHalvingSemantics(t *testing.T) {
 	n := New()
 	n.Reset(0, []int32{1}, gossip.Scalar(8, 2))
-	msg := n.MakeMessage(1)
+	msg := sendTo(n, 1)
 	if msg.Flow1.X[0] != 4 || msg.Flow1.W != 1 {
 		t.Fatalf("sent share = %v", msg.Flow1)
 	}
-	lv := n.LocalValue()
+	lv := localOf(n)
 	if lv.X[0] != 4 || lv.W != 1 {
 		t.Fatalf("remaining mass = %v", lv)
 	}
 	// Estimate is invariant under sends (ratio preserved).
-	if n.Estimate()[0] != 4 {
-		t.Fatalf("estimate = %g", n.Estimate()[0])
+	if estimateOf(n)[0] != 4 {
+		t.Fatalf("estimate = %g", estimateOf(n)[0])
 	}
 }
 
@@ -38,7 +43,7 @@ func TestReceiveAccumulates(t *testing.T) {
 	n := New()
 	n.Reset(1, []int32{0}, gossip.Scalar(2, 1))
 	n.Receive(gossip.Message{From: 0, To: 1, Flow1: gossip.Scalar(4, 1)})
-	lv := n.LocalValue()
+	lv := localOf(n)
 	if lv.X[0] != 6 || lv.W != 2 {
 		t.Fatalf("mass after receive = %v", lv)
 	}
@@ -47,10 +52,10 @@ func TestReceiveAccumulates(t *testing.T) {
 func TestReceiveScreensMalformed(t *testing.T) {
 	n := New()
 	n.Reset(1, []int32{0}, gossip.Scalar(2, 1))
-	before := n.LocalValue()
+	before := localOf(n)
 	n.Receive(gossip.Message{From: 0, To: 1, Flow1: gossip.Scalar(math.Inf(1), 1)})
 	n.Receive(gossip.Message{From: 0, To: 1, Flow1: gossip.NewValue(4)})
-	if !n.LocalValue().Equal(before) {
+	if !localOf(n).Equal(before) {
 		t.Fatal("malformed message accepted")
 	}
 }
@@ -110,9 +115,9 @@ func TestSingleLossPermanentlyBiases(t *testing.T) {
 func TestResetReuse(t *testing.T) {
 	n := New()
 	n.Reset(0, []int32{1}, gossip.Scalar(8, 1))
-	n.MakeMessage(1)
+	sendTo(n, 1)
 	n.Reset(2, []int32{3, 4}, gossip.Scalar(3, 1))
-	if lv := n.LocalValue(); lv.X[0] != 3 || lv.W != 1 {
+	if lv := localOf(n); lv.X[0] != 3 || lv.W != 1 {
 		t.Fatalf("mass after Reset = %v", lv)
 	}
 	if len(n.LiveNeighbors()) != 2 {
@@ -125,15 +130,15 @@ func TestResetReuse(t *testing.T) {
 func TestSetInputDelta(t *testing.T) {
 	n := New()
 	n.Reset(0, []int32{1}, gossip.Scalar(8, 1))
-	n.MakeMessage(1) // mass now (4, 0.5)
+	sendTo(n, 1) // mass now (4, 0.5)
 	n.SetInput(gossip.Scalar(10, 1))
-	lv := n.LocalValue()
+	lv := localOf(n)
 	if lv.X[0] != 6 || lv.W != 0.5 { // +2 delta applied to remaining mass
 		t.Fatalf("mass after SetInput = %v", lv)
 	}
 	// A second update is relative to the last input, not the original.
 	n.SetInput(gossip.Scalar(7, 1))
-	if got := n.LocalValue().X[0]; got != 3 {
+	if got := localOf(n).X[0]; got != 3 {
 		t.Fatalf("mass after second SetInput = %g, want 3", got)
 	}
 }

@@ -140,8 +140,8 @@ func TestBatchedComponentEqualsScalar(t *testing.T) {
 							ref.Step()
 						}
 						for i := 0; i < n; i++ {
-							b := batch.Protocol(i).Estimate()
-							s := ref.Protocol(i).Estimate()
+							b := estimateOf(batch.Protocol(i))
+							s := estimateOf(ref.Protocol(i))
 							if b[c] != s[0] {
 								t.Fatalf("node %d component %d: batched %.17g, scalar %.17g", i, c, b[c], s[0])
 							}

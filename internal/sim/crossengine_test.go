@@ -44,7 +44,7 @@ func TestCrossEngineConsistency(t *testing.T) {
 	if res := eng.Run(sim.RunConfig{MaxRounds: 3000, Eps: 1e-11}); !res.Converged {
 		t.Fatalf("round engine: %.3e", eng.MaxError())
 	}
-	roundEst := protosA[0].Estimate()[0]
+	roundEst := estimateOf(protosA[0])[0]
 
 	// Event engine.
 	ev := sim.NewEvent(g, fuzzProtos(n, mk), scalarVals(), sim.EventConfig{
@@ -124,7 +124,7 @@ func TestCrossEngineSilentCrash(t *testing.T) {
 		if i == crash {
 			continue
 		}
-		est := eng.Protocol(i).Estimate()[0]
+		est := estimateOf(eng.Protocol(i))[0]
 		simLo, simHi = math.Min(simLo, est), math.Max(simHi, est)
 	}
 	if simHi-simLo > 1e-8 {
@@ -228,7 +228,7 @@ func TestCrossEngineTransientOutage(t *testing.T) {
 	if st := eng.DetectorStats(); st.Reintegrations < 2 {
 		t.Fatalf("sim: %d reintegrations, want ≥ 2 (both endpoints heal)", st.Reintegrations)
 	}
-	simEst := eng.Protocol(0).Estimate()[0]
+	simEst := estimateOf(eng.Protocol(0))[0]
 	if math.Abs(simEst-want) > 1e-8 {
 		t.Fatalf("sim estimate %.12g, want %.12g", simEst, want)
 	}

@@ -98,12 +98,12 @@ func TestSetInputShiftsEstimateExactly(t *testing.T) {
 	b := core.NewEfficient()
 	b.Reset(1, []int32{0}, gossip.Scalar(2, 1))
 	for k := 0; k < 6; k++ {
-		b.Receive(a.MakeMessage(1))
-		a.Receive(b.MakeMessage(0))
+		b.Receive(sendTo(a, 1))
+		a.Receive(sendTo(b, 0))
 	}
-	before := a.LocalValue()
+	before := localOf(a)
 	a.SetInput(gossip.Scalar(10.5, 1))
-	after := a.LocalValue()
+	after := localOf(a)
 	if d := after.X[0] - before.X[0]; d != 2.5 {
 		t.Fatalf("estimate shifted by %g, want exactly 2.5", d)
 	}

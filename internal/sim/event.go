@@ -146,7 +146,8 @@ func (e *EventEngine) step() bool {
 	p := e.protos[ev.node]
 	if live := p.LiveNeighbors(); len(live) > 0 {
 		target := int(live[e.rng.Intn(len(live))])
-		msg := p.MakeMessage(target)
+		var msg gossip.Message
+		p.FillMessage(target, &msg)
 		e.Sends++
 		lat := e.cfg.LatencyMin + (e.cfg.LatencyMax-e.cfg.LatencyMin)*e.rng.Float64()
 		e.schedule(event{at: e.now + lat, msg: &msg})
@@ -161,7 +162,7 @@ func (e *EventEngine) step() bool {
 func (e *EventEngine) Errors() []float64 {
 	e.errBuf = e.errBuf[:0]
 	for _, p := range e.protos {
-		est := p.Estimate()
+		est := p.EstimateInto(nil)
 		worst := 0.0
 		for k, t := range e.targets {
 			err := stats.RelErr(est[k], t)

@@ -187,15 +187,9 @@ func (e *Engine) observeShard(s int) {
 		}
 		p := e.protos[i]
 		l.mass.X = e.obsX[i*w : (i+1)*w : (i+1)*w]
-		if mr, ok := p.(gossip.MassReader); ok {
-			mr.LocalValueInto(&l.mass)
-		} else {
-			l.mass.Set(p.LocalValue())
-		}
+		p.LocalValueInto(&l.mass)
 		e.obsW[i] = l.mass.W
-		if ev, ok := p.(gossip.EdgeViewer); ok {
-			anti += e.antiSymAt(i, ev)
-		}
+		anti += e.antiSymAt(i, p)
 	}
 	l.antiSym = anti
 }
@@ -250,8 +244,7 @@ func (e *Engine) massResidual() (mass, inflight float64) {
 // antiSymViolations sums the shards' anti-symmetry counts of the last
 // probe: the edges whose flow state violates bitwise anti-symmetry
 // f(j,i) = −f(i,j), the invariant every acknowledged flow exchange
-// restores. Returns −1 when the protocol exposes no flow state (e.g.
-// push-sum).
+// restores. Returns −1 when the protocol has no flows (push-sum).
 //
 // Violations are expected while exchanges are in flight; the probe is
 // most meaningful after Drain on the sequential model (where it must be
@@ -260,7 +253,7 @@ func (e *Engine) antiSymViolations() int {
 	if len(e.protos) == 0 {
 		return -1
 	}
-	if _, ok := e.protos[0].(gossip.EdgeViewer); !ok {
+	if _, flows, _ := e.protos[0].EdgeView(); flows == 0 {
 		return -1
 	}
 	count := 0
@@ -280,19 +273,18 @@ func (e *Engine) antiSymViolations() int {
 // is mass in flight or eviction skew. Overlay neighbors index the edge
 // stores directly while the two agree; a neighbor row that has diverged
 // from the store (rewires, leaves) falls back to the id lookup.
-func (e *Engine) antiSymAt(i int, ev gossip.EdgeViewer) int {
-	si, flows, exempt := ev.EdgeView()
+func (e *Engine) antiSymAt(i int, p gossip.Protocol) int {
+	si, flows, exempt := p.EdgeView()
+	if flows == 0 {
+		return 0
+	}
 	count := 0
 	for k, j32 := range e.neighbors(i) {
 		j := int(j32)
 		if j <= i || !e.alive[j] {
 			continue
 		}
-		vj, ok := e.protos[j].(gossip.EdgeViewer)
-		if !ok {
-			continue
-		}
-		sj, fj, xj := vj.EdgeView()
+		sj, fj, xj := e.protos[j].EdgeView()
 		if fj != flows || xj != exempt {
 			continue
 		}

@@ -25,7 +25,7 @@ func refErrors(e *Engine) []float64 {
 	var errs []float64
 	for i, p := range e.protos {
 		if e.alive[i] {
-			errs = append(errs, e.worstErr(p.Estimate()))
+			errs = append(errs, e.worstErr(estimateOf(p)))
 		}
 	}
 	return errs
@@ -41,7 +41,7 @@ func refMassResidual(e *Engine) (mass, inflight float64) {
 			continue
 		}
 		w0.Add(e.init[i].W)
-		v := p.LocalValue()
+		v := localOf(p)
 		wsum.Add(v.W)
 		for k, x := range v.X {
 			sums[k].Add(x)

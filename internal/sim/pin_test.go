@@ -166,7 +166,7 @@ func runPinScenario(t *testing.T, sc pinScenario, mk func() gossip.Protocol, sha
 
 	w := &gossip.StateWriter{}
 	for i := 0; i < e.N(); i++ {
-		e.Protocol(i).(gossip.Snapshotter).SaveState(w)
+		e.Protocol(i).SaveState(w)
 	}
 	pin := roundPin{
 		Round:    e.Round(),

@@ -146,7 +146,7 @@ func runPropertyCase(c propertyCase, events []fault.Event) error {
 	}
 	span := hi - lo
 	for i := 0; i < e.N(); i++ {
-		est := e.Protocol(i).Estimate()[0]
+		est := estimateOf(e.Protocol(i))[0]
 		if math.IsNaN(est) || est < lo-1e-6*span || est > hi+1e-6*span {
 			return fmt.Errorf("%s: node %d estimate %.17g drifted outside inputs [%g, %g]",
 				tc.name, i, est, lo, hi)

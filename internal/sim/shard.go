@@ -1016,9 +1016,6 @@ func (e *Engine) errorsShard(s int) {
 // nodeErr returns node i's worst relative error, using shard block l's
 // estimate scratch.
 func (e *Engine) nodeErr(i int, l *shardLocal) float64 {
-	if ip, ok := e.protos[i].(gossip.Estimator); ok {
-		l.est = ip.EstimateInto(l.est)
-		return e.worstErr(l.est)
-	}
-	return e.worstErr(e.protos[i].Estimate())
+	l.est = e.protos[i].EstimateInto(l.est)
+	return e.worstErr(l.est)
 }

@@ -106,8 +106,8 @@ type Injector interface {
 // data message lives in its sender's round-parity slot, the rarer
 // messages (keepalives, probes, interceptor copies, restored in-flight
 // messages) in per-shard free lists recycled at dispatch/drop time (see
-// shard.go), protocols that implement gossip.MessageFiller and
-// gossip.Estimator fill engine buffers instead of allocating, and all
+// shard.go), protocols fill engine buffers (FillMessage, EstimateInto)
+// instead of allocating, and all
 // per-round scratch (activation permutation, error/median buffers,
 // oracle accumulators) is preallocated. Reset rewinds the engine for
 // the next trial without reconstructing any of it.
@@ -140,7 +140,6 @@ type Engine struct {
 
 	detCfg     *DetectorConfig
 	det        []*detect.Detector
-	canReint   []bool
 	lastSent   [][]int // lastSent[i][p]: round of node i's last send to layoutRow(i)[p]
 	keepalives int
 
@@ -281,12 +280,9 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 			panic(err)
 		}
 		e.det = make([]*detect.Detector, n)
-		e.canReint = make([]bool, n)
 		e.lastSent = make([][]int, n)
 		for i := range protos {
 			e.det[i] = detect.New(e.detCfg.Detect, g.Neighbors(i), 0)
-			_, reint := protos[i].(gossip.Reintegrator)
-			e.canReint[i] = reint && !e.detCfg.DisableReintegration
 			e.clearSent(i)
 		}
 	}
@@ -517,8 +513,8 @@ func (e *Engine) ensureSlots() {
 
 // dataSlot returns node i's data-message slot of the current round,
 // slot 2i + round mod 2, with its flows pointed afresh at the slot's own
-// backing: MakeMessage, or a FillMessage that truncates a flow, may have
-// left them pointing elsewhere or without capacity.
+// backing: a FillMessage that truncates or resizes a flow may have left
+// them pointing elsewhere or without capacity.
 func (e *Engine) dataSlot(i int) *gossip.Message {
 	k := 2*i + e.round&1
 	w := e.width
@@ -609,7 +605,7 @@ func (e *Engine) activate(ids []int32, s int) {
 		if e.det != nil {
 			for _, j := range e.det[i].Check(float64(e.round)) {
 				p.OnLinkFailure(j)
-				if !e.canReint[i] {
+				if e.detCfg.DisableReintegration {
 					e.det[i].Remove(j)
 				}
 				if e.rec != nil {
@@ -633,11 +629,7 @@ func (e *Engine) activate(ids []int32, s int) {
 			e.noteSent(i, target)
 			e.rec.Bank(s).Inc(metrics.MsgsSent)
 			m := e.dataSlot(i)
-			if f, ok := p.(gossip.MessageFiller); ok {
-				f.FillMessage(target, m)
-			} else {
-				*m = p.MakeMessage(target)
-			}
+			p.FillMessage(target, m)
 			// emit, written out: the per-message path of phase 1 stays
 			// free of an extra call.
 			if e.seq {
@@ -776,14 +768,12 @@ func (e *Engine) heard(i, from int) {
 	if e.det == nil {
 		return
 	}
-	if e.det[i].Heard(from, float64(e.round)) && e.canReint[i] {
-		if r, ok := e.protos[i].(gossip.Reintegrator); ok {
-			r.OnLinkRecover(from)
-			if e.rec != nil {
-				// i's shard bank: the only one i's activation may write.
-				e.rec.Bank(e.owner(i)).Inc(metrics.Reintegrations)
-				e.noteEvent(metrics.Event{Kind: metrics.EvLinkReintegrated, Round: e.round, A: i, B: from})
-			}
+	if e.det[i].Heard(from, float64(e.round)) && !e.detCfg.DisableReintegration {
+		e.protos[i].OnLinkRecover(from)
+		if e.rec != nil {
+			// i's shard bank: the only one i's activation may write.
+			e.rec.Bank(e.owner(i)).Inc(metrics.Reintegrations)
+			e.noteEvent(metrics.Event{Kind: metrics.EvLinkReintegrated, Round: e.round, A: i, B: from})
 		}
 	}
 }
@@ -1118,13 +1108,8 @@ func (e *Engine) Alive(i int) bool { return e.alive[i] }
 
 // UpdateInput replaces node i's input value mid-run (live monitoring,
 // the paper's reference [8] use case) and updates the oracle aggregate.
-// The protocol must implement gossip.DynamicInput and the new value must
-// keep the node's original weight and width.
+// The new value must keep the node's original weight and width.
 func (e *Engine) UpdateInput(i int, v gossip.Value) {
-	dyn, ok := e.protos[i].(gossip.DynamicInput)
-	if !ok {
-		panic(fmt.Sprintf("sim: protocol of node %d does not support dynamic inputs", i))
-	}
 	if v.Width() != e.init[i].Width() || v.W != e.init[i].W {
 		panic("sim: UpdateInput must preserve width and weight")
 	}
@@ -1132,7 +1117,7 @@ func (e *Engine) UpdateInput(i int, v gossip.Value) {
 		return
 	}
 	e.init[i] = v.Clone()
-	dyn.SetInput(v)
+	e.protos[i].SetInput(v)
 	e.recomputeTargets()
 }
 
@@ -1142,7 +1127,7 @@ func (e *Engine) Estimates() [][]float64 {
 	out := make([][]float64, len(e.protos))
 	for i, p := range e.protos {
 		if e.alive[i] {
-			out[i] = p.Estimate()
+			out[i] = p.EstimateInto(nil)
 		}
 	}
 	return out
@@ -1208,18 +1193,19 @@ func (e *Engine) worstErr(est []float64) float64 {
 // MaxError returns the maximal relative local error over all alive nodes.
 func (e *Engine) MaxError() float64 { return stats.Max(e.Errors()) }
 
-// GlobalMass sums LocalValue over all alive protocols with compensated
+// GlobalMass sums the local mass of all alive protocols with compensated
 // summation — the conserved quantity of Sec. II-A. Meaningful after
 // Drain (no in-flight messages).
 func (e *Engine) GlobalMass() gossip.Value {
 	width := e.init[0].Width()
 	sums := make([]stats.Sum2, width)
 	var wsum stats.Sum2
+	var v gossip.Value
 	for i, p := range e.protos {
 		if !e.alive[i] {
 			continue
 		}
-		v := p.LocalValue()
+		p.LocalValueInto(&v)
 		wsum.Add(v.W)
 		for k, x := range v.X {
 			sums[k].Add(x)

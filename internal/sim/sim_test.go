@@ -12,6 +12,11 @@ import (
 	"pcfreduce/internal/topology"
 )
 
+// Fresh-value forms of FillMessage, EstimateInto and LocalValueInto.
+func sendTo(p gossip.Protocol, target int) (m gossip.Message) { p.FillMessage(target, &m); return }
+func estimateOf(p gossip.Protocol) []float64                  { return p.EstimateInto(nil) }
+func localOf(p gossip.Protocol) (v gossip.Value)              { p.LocalValueInto(&v); return }
+
 func pfProtos(n int) []gossip.Protocol {
 	return makeProtos(n, func() gossip.Protocol { return pushflow.New() })
 }
@@ -55,7 +60,7 @@ func TestEngineSeedsDiffer(t *testing.T) {
 	e2.Run(RunConfig{MaxRounds: 10})
 	same := true
 	for i := 0; i < g.N(); i++ {
-		if e1.Protocol(i).Estimate()[0] != e2.Protocol(i).Estimate()[0] {
+		if estimateOf(e1.Protocol(i))[0] != estimateOf(e2.Protocol(i))[0] {
 			same = false
 		}
 	}
@@ -214,7 +219,7 @@ func TestInterceptorDropAll(t *testing.T) {
 			// With every message dropped, no node ever learns anything; but
 			// local estimates remain finite and the engine must not wedge.
 			for i := 0; i < 4; i++ {
-				if est := e.Protocol(i).Estimate()[0]; math.IsNaN(est) {
+				if est := estimateOf(e.Protocol(i))[0]; math.IsNaN(est) {
 					t.Fatalf("node %d estimate NaN under total message loss", i)
 				}
 			}
@@ -397,7 +402,7 @@ func TestVectorReduction(t *testing.T) {
 		t.Fatalf("vector reduction not converged: %.3e", e.MaxError())
 	}
 	want := []float64{7.5, 77.5, 1} // means of 0..15, squares, ones
-	est := e.Protocol(3).Estimate()
+	est := estimateOf(e.Protocol(3))
 	for k, w := range want {
 		if math.Abs(est[k]-w)/w > 1e-12 {
 			t.Fatalf("component %d = %.15g, want %.15g", k, est[k], w)

@@ -67,10 +67,8 @@ type Snapshot struct {
 // enough) to checkpoint it.
 var ErrNotSharded = errors.New("sim: snapshot requires the sharded executor (construct the engine with WithShards)")
 
-// Snapshot captures the engine's full deterministic state. Every
-// protocol must implement gossip.Snapshotter (all four in this
-// repository do). The engine must be at a round boundary, which it
-// always is between Step calls.
+// Snapshot captures the engine's full deterministic state. The engine
+// must be at a round boundary, which it always is between Step calls.
 func (e *Engine) Snapshot() (*Snapshot, error) {
 	if e.seq {
 		return nil, ErrNotSharded
@@ -92,12 +90,8 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	for i := 0; i < n; i++ {
 		w.PutValue(e.init[i])
 	}
-	for i, p := range e.protos {
-		snap, ok := p.(gossip.Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("sim: protocol at node %d (%T) does not implement gossip.Snapshotter", i, p)
-		}
-		snap.SaveState(w)
+	for _, p := range e.protos {
+		p.SaveState(w)
 	}
 	if e.det != nil {
 		for i := 0; i < n; i++ {
@@ -306,9 +300,7 @@ func (e *Engine) appendNodeScaffold(id int) {
 		e.nodeCkpt = append(e.nodeCkpt, nil)
 	}
 	if e.det != nil {
-		e.det = append(e.det, nil) // rebuilt from the main stream
-		_, reint := p.(gossip.Reintegrator)
-		e.canReint = append(e.canReint, reint && !e.detCfg.DisableReintegration)
+		e.det = append(e.det, nil)           // rebuilt from the main stream
 		e.lastSent = append(e.lastSent, nil) // sized from the main stream
 	}
 	e.shard.nodeRNG = append(e.shard.nodeRNG, 0) // overwritten by the main stream
@@ -370,14 +362,10 @@ func (e *Engine) Restore(s *Snapshot) error {
 		r.Value(&e.init[i])
 	}
 	for i, p := range e.protos {
-		snap, ok := p.(gossip.Snapshotter)
-		if !ok {
-			return fmt.Errorf("sim: protocol at node %d (%T) does not implement gossip.Snapshotter", i, p)
-		}
 		// The storage row, not the overlay row: positional protocol
 		// state keeps slots for removed neighbors (see layoutRow).
 		p.Reset(i, e.layoutRow(i), e.init[i].Clone())
-		snap.LoadState(r)
+		p.LoadState(r)
 	}
 	if e.det != nil {
 		for i := 0; i < n; i++ {
@@ -510,18 +498,12 @@ func readMessage(r *gossip.StateReader, m *gossip.Message, width int) bool {
 // CheckpointNode freezes node i's current protocol state as its local
 // checkpoint — the save point of the crash-restart recovery mode. A
 // later RestartNode revives the node from the most recent checkpoint.
-// No-op (and no stored checkpoint) when the protocol does not implement
-// gossip.Snapshotter.
 func (e *Engine) CheckpointNode(i int) {
-	snap, ok := e.protos[i].(gossip.Snapshotter)
-	if !ok {
-		return
-	}
 	if e.nodeCkpt == nil {
 		e.nodeCkpt = make([]*gossip.State, e.graph.N())
 	}
 	w := &gossip.StateWriter{}
-	snap.SaveState(w)
+	e.protos[i].SaveState(w)
 	e.nodeCkpt[i] = &w.State
 	e.noteEvent(metrics.Event{Kind: metrics.EvNodeCheckpoint, Round: e.round, A: i, B: -1})
 }
@@ -551,9 +533,7 @@ func (e *Engine) RestartNode(i int) {
 	p := e.protos[i]
 	p.Reset(i, e.layoutRow(i), e.init[i].Clone())
 	if e.nodeCkpt != nil && e.nodeCkpt[i] != nil {
-		if snap, ok := p.(gossip.Snapshotter); ok {
-			snap.LoadState(gossip.NewStateReader(*e.nodeCkpt[i]))
-		}
+		p.LoadState(gossip.NewStateReader(*e.nodeCkpt[i]))
 	}
 	if e.det != nil {
 		// The revived node starts a fresh detector era: everyone was

@@ -117,7 +117,11 @@ const (
 )
 
 // Protocol is the node-local reduction state machine interface; advanced
-// users can implement their own and drive it with the same engines.
+// users can implement their own and drive it with the same engines. It is
+// the whole contract: the engines call every one of its operations (send,
+// receive, estimate, local mass, link failure and recovery, membership
+// churn, live input, checkpoints and the anti-symmetry edge view) and
+// nothing else, so a custom protocol implements all of them.
 type Protocol = gossip.Protocol
 
 // MetricsRecorder is the zero-overhead observability recorder
