@@ -63,9 +63,9 @@ func restoreEdited(t *testing.T, snap *sim.Snapshot, mk func() gossip.Protocol, 
 // TestRestoreRejectsImpossibleProtocolState edits the pinned PCF
 // checkpoint into protocol state no run can produce and re-signs it:
 // node 0's live list naming a non-neighbour, a neighbour twice, or the
-// neighbour whose failed edge still holds its frozen snapshot, and an
-// active-slot byte of 2 on each of node 0's edges or in its frozen
-// snapshot. Restore must refuse every one as gossip.ErrStateInvalid
+// neighbour whose failed edge still holds its frozen snapshot, and a
+// control byte of 4 (a swap announced that never happened) on each of
+// node 0's edges or in its frozen snapshot. Restore must refuse every one as gossip.ErrStateInvalid
 // (accepting them crashed or silently corrupted the next Run), refuse
 // a truncated stream as gossip.ErrStateUnderflow, and accept the
 // unedited file.
@@ -81,11 +81,11 @@ func TestRestoreRejectsImpossibleProtocolState(t *testing.T) {
 	robust := func() gossip.Protocol { return core.NewRobust() }
 	live := liveOffset(t, ck.Snap.State)
 	// Node 0's bytes follow the alive/hung flags and the detector flag:
-	// the active slot of each of its five edges, then per edge a frozen
-	// snapshot flag, the snapshot of edge 0 (to 1) carrying its own
-	// active slot byte.
+	// the control byte (active slot, crossing bits) of each of its five
+	// edges, then per edge a frozen snapshot flag, the snapshot of edge 0
+	// (to 1) carrying its own control byte.
 	cAt := 2*ck.Snap.N + 1
-	if b := ck.Snap.State.B; !slices.Equal(b[cAt:cAt+5], []byte{0, 0, 1, 1, 1}) || b[cAt+5] != 1 {
+	if b := ck.Snap.State.B; !slices.Equal(b[cAt:cAt+5], []byte{0, 0, 3, 1, 3}) || b[cAt+5] != 1 {
 		t.Fatalf("node 0's control bytes %v do not match the pinned run", b[cAt:cAt+7])
 	}
 
@@ -99,10 +99,10 @@ func TestRestoreRejectsImpossibleProtocolState(t *testing.T) {
 		{"live id -1", func(st *gossip.State) { st.I32[live] = -1 }},
 		{"live duplicate 16", func(st *gossip.State) { st.I32[live] = 16 }},
 		{"live failed-link neighbour 1", func(st *gossip.State) { st.I32[live] = 1 }},
-		{"frozen snapshot active slot 2", func(st *gossip.State) { st.B[cAt+6] = 2 }},
+		{"frozen snapshot control byte 4", func(st *gossip.State) { st.B[cAt+6] = 4 }},
 	}
 	for k := 0; k < 5; k++ {
-		cases = append(cases, stateEdit{fmt.Sprintf("active slot 2 on edge %d", k), func(st *gossip.State) { st.B[cAt+k] = 2 }})
+		cases = append(cases, stateEdit{fmt.Sprintf("control byte 4 on edge %d", k), func(st *gossip.State) { st.B[cAt+k] = 4 }})
 	}
 	if err := restoreEdited(t, ck.Snap, robust, func(*gossip.State) {}); err != nil {
 		t.Fatalf("unedited checkpoint: %v", err)
