@@ -129,8 +129,9 @@ func (c Config) Validate() error {
 }
 
 // neighborState is the per-neighbor liveness record. The arrival
-// window exists from the first observed inter-arrival on, so a detector
-// that has heard nothing yet costs a few words per neighbor.
+// window exists from the first observed inter-arrival on, and only
+// under PhiAccrual, so a detector that has heard nothing yet, or runs
+// FixedTimeout, costs a few words per neighbor.
 type neighborState struct {
 	lastHeard float64
 	win       *arrivals // nil until the first observation
@@ -241,7 +242,7 @@ func (d *Detector) Heard(neighbor int, now float64) (reintegrated bool) {
 	if ns == nil || ns.removed {
 		return false
 	}
-	if interval := now - ns.lastHeard; interval > 0 && !ns.suspected {
+	if interval := now - ns.lastHeard; interval > 0 && !ns.suspected && d.cfg.Policy == PhiAccrual {
 		ns.observe(interval, d.cfg.WindowSize)
 	}
 	ns.lastHeard = now
