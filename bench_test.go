@@ -121,7 +121,7 @@ func BenchmarkFig8DmGSPCF(b *testing.B) {
 func benchQR(b *testing.B, algo experiments.Algorithm) {
 	var factErr float64
 	for i := 0; i < b.N; i++ {
-		cfg := experiments.DefaultQRConfig(algo, 5, 1)
+		cfg := experiments.DefaultQRConfig(algo, 1)
 		p, err := experiments.QRSingle(cfg, 5)
 		if err != nil {
 			b.Fatal(err)

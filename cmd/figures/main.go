@@ -262,13 +262,13 @@ func figure8(emit func(*trace.Table), maxDim, runs int, seed int64) {
 	type row struct{ pf, pcf experiments.QRPoint }
 	var rows []row
 	for dim := 5; dim <= maxDim; dim++ {
-		cfgPF := experiments.DefaultQRConfig(experiments.PushFlow, maxDim, runs)
+		cfgPF := experiments.DefaultQRConfig(experiments.PushFlow, runs)
 		cfgPF.Seed = seed
 		pf, err := experiments.QRSingle(cfgPF, dim)
 		if err != nil {
 			fatal(err)
 		}
-		cfgPCF := experiments.DefaultQRConfig(experiments.PCF, maxDim, runs)
+		cfgPCF := experiments.DefaultQRConfig(experiments.PCF, runs)
 		cfgPCF.Seed = seed
 		pcf, err := experiments.QRSingle(cfgPCF, dim)
 		if err != nil {

@@ -226,13 +226,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var dc *sim.DetectorConfig
+		var dc *detect.Config
 		if *detectMode {
-			dc = &sim.DetectorConfig{Detect: detect.Config{
+			dc = &detect.Config{
 				Policy:       pol,
 				Timeout:      *detectTimeout,
 				PhiThreshold: *phiThreshold,
-			}}
+			}
 		} else if *silentCrash != "" || *outage != "" {
 			fmt.Println("note: silent faults without -detect — nobody will ever evict the failed components")
 		}
@@ -555,7 +555,7 @@ type obsOpts struct {
 // runDetect drives the round simulator directly (below the public
 // facade, like runEvent) with a failure plan of silent faults and,
 // optionally, the oracle-free detector.
-func runDetect(g *pcfreduce.Graph, algo pcfreduce.Algorithm, agg pcfreduce.Aggregate, inputs []float64, eps float64, seed int64, rounds, shards int, plan *fault.Plan, dc *sim.DetectorConfig, traceEvery int, rec *metrics.Recorder, ck ckptOpts, obs obsOpts) {
+func runDetect(g *pcfreduce.Graph, algo pcfreduce.Algorithm, agg pcfreduce.Aggregate, inputs []float64, eps float64, seed int64, rounds, shards int, plan *fault.Plan, dc *detect.Config, traceEvery int, rec *metrics.Recorder, ck ckptOpts, obs obsOpts) {
 	protos := make([]pcfreduce.Protocol, g.N())
 	for i := range protos {
 		protos[i] = algo.NewNode()
@@ -668,7 +668,7 @@ func runDetect(g *pcfreduce.Graph, algo pcfreduce.Algorithm, agg pcfreduce.Aggre
 	if dc != nil {
 		st := e.DetectorStats()
 		fmt.Printf("detector (%s): %d suspicions, %d reintegrations, %d keepalives/probes\n",
-			dc.Detect.Policy, st.Suspicions, st.Reintegrations, st.Keepalives)
+			dc.Policy, st.Suspicions, st.Reintegrations, st.Keepalives)
 		for i := 0; i < g.N(); i++ {
 			if s := e.Suspects(i); len(s) > 0 {
 				fmt.Printf("  node %d still suspects %v\n", i, s)

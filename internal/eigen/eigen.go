@@ -47,10 +47,6 @@ type Config struct {
 	NewProtocol func() gossip.Protocol
 	// Eigenvectors is m, the number of dominant eigenpairs to compute.
 	Eigenvectors int
-	// ReductionEps is the per-reduction target accuracy.
-	ReductionEps float64
-	// ReductionMaxRounds caps each gossip reduction.
-	ReductionMaxRounds int
 	// Tol is the subspace-stabilization tolerance: iteration stops when
 	// no entry of V moved more than Tol between iterations (columns
 	// compared up to sign). Eigenvalues, which converge quadratically,
@@ -62,18 +58,23 @@ type Config struct {
 	Seed int64
 }
 
+// Every gossip reduction of the solver runs to reductionEps or stops
+// after reductionMaxRounds rounds.
+const (
+	reductionEps       = 1e-13
+	reductionMaxRounds = 3000
+)
+
 // DefaultConfig returns a ready configuration for the given topology,
 // protocol and subspace size.
 func DefaultConfig(g *topology.Graph, mk func() gossip.Protocol, m int) Config {
 	return Config{
-		Topology:           g,
-		NewProtocol:        mk,
-		Eigenvectors:       m,
-		ReductionEps:       1e-13,
-		ReductionMaxRounds: 3000,
-		Tol:                1e-10,
-		MaxIterations:      300,
-		Seed:               1,
+		Topology:      g,
+		NewProtocol:   mk,
+		Eigenvectors:  m,
+		Tol:           1e-10,
+		MaxIterations: 300,
+		Seed:          1,
 	}
 }
 
@@ -110,8 +111,8 @@ func Solve(a *linalg.Matrix, cfg Config) (Result, error) {
 	if cfg.NewProtocol == nil {
 		return Result{}, fmt.Errorf("eigen: nil protocol constructor")
 	}
-	if cfg.ReductionEps <= 0 || cfg.ReductionMaxRounds <= 0 || cfg.MaxIterations <= 0 {
-		return Result{}, fmt.Errorf("eigen: non-positive limits")
+	if cfg.MaxIterations <= 0 {
+		return Result{}, fmt.Errorf("eigen: non-positive MaxIterations")
 	}
 	// Symmetry check (cheap, exact): the algorithm's column/row duality
 	// requires it.
@@ -130,7 +131,7 @@ func Solve(a *linalg.Matrix, cfg Config) (Result, error) {
 	res := Result{}
 	// reduce performs one vector-valued gossip SUM; every node gets its
 	// own estimate, and node 0's estimate is used for the replicated
-	// quantities (all copies agree to ReductionEps). One engine serves
+	// quantities (all copies agree to reductionEps). One engine serves
 	// every iteration: the width n·m never changes, so ResetWithInputs
 	// rewinds it with the next seed and partials while keeping the
 	// message pools and width-n·m scratch buffers allocated — the
@@ -148,7 +149,7 @@ func Solve(a *linalg.Matrix, cfg Config) (Result, error) {
 		} else {
 			eng.ResetWithInputs(seed, partials)
 		}
-		r := eng.Run(sim.RunConfig{MaxRounds: cfg.ReductionMaxRounds, Eps: cfg.ReductionEps, StallRounds: 60})
+		r := eng.Run(sim.RunConfig{MaxRounds: reductionMaxRounds, Eps: reductionEps, StallRounds: 60})
 		res.Reductions++
 		res.TotalRounds += r.Rounds
 		return eng.Estimates()

@@ -189,16 +189,14 @@ type LossBiasConfig struct {
 	// P is the uniform per-link loss rate applied to every edge in both
 	// directions (each message dropped independently).
 	P float64
-	// Rounds is the lossy horizon T of the decay prediction.
+	// Rounds is the lossy horizon T of the decay prediction. LossBias
+	// then runs Rounds/4 rounds loss-free so the flow protocols
+	// re-synchronize their per-edge state before measurement: a flow
+	// edge whose last message was lost is out of sync until the next
+	// delivery, which is transient skew, not destroyed mass. Push-sum's
+	// losses are permanent either way.
 	Rounds int
-	// SettleRounds runs loss-free after the lossy phase (default
-	// Rounds/4) so the flow protocols re-synchronize their per-edge
-	// state before measurement: a flow edge whose last message was lost
-	// is out of sync until the next delivery, which is transient
-	// skew, not destroyed mass. Push-sum's losses are permanent either
-	// way.
-	SettleRounds int
-	Seed         int64
+	Seed   int64
 }
 
 // LossBiasResult reports the measured mass decay against the
@@ -224,10 +222,7 @@ func LossBias(cfg LossBiasConfig) LossBiasResult {
 		panic("experiments: LossBiasConfig.Rounds must be positive")
 	}
 	g := cfg.Graph
-	settle := cfg.SettleRounds
-	if settle <= 0 {
-		settle = cfg.Rounds / 4
-	}
+	settle := cfg.Rounds / 4
 	loss := make(fault.LinkLoss)
 	for _, edge := range g.Edges() {
 		loss.Set(edge[0], edge[1], cfg.P)

@@ -24,11 +24,9 @@ type DetectionConfig struct {
 	// (default 60; unused by FixedTimeout, which takes its timeout from
 	// Params).
 	BootstrapTimeout float64
-	// CrashRound is the round at which the victim silently crashes
-	// (default 120 — past the φ warm-up).
+	// CrashRound is the round at which the victim, node n/3, silently
+	// crashes (default 120 — past the φ warm-up).
 	CrashRound int
-	// CrashNode is the victim (default n/3).
-	CrashNode int
 	// ObserveRounds is how long the run continues after the crash
 	// (default 600).
 	ObserveRounds int
@@ -47,9 +45,6 @@ func (c DetectionConfig) withDefaults() DetectionConfig {
 	}
 	if c.CrashRound == 0 {
 		c.CrashRound = 120
-	}
-	if c.CrashNode == 0 {
-		c.CrashNode = c.Graph.N() / 3
 	}
 	if c.ObserveRounds == 0 {
 		c.ObserveRounds = 600
@@ -106,9 +101,7 @@ func DetectionTradeoff(cfg DetectionConfig) ([]DetectionPoint, error) {
 	if len(cfg.Params) == 0 {
 		return nil, fmt.Errorf("experiments: DetectionConfig.Params is empty")
 	}
-	if cfg.CrashNode < 0 || cfg.CrashNode >= cfg.Graph.N() {
-		return nil, fmt.Errorf("experiments: crash node %d out of range", cfg.CrashNode)
-	}
+	victim := cfg.Graph.N() / 3
 	out := make([]DetectionPoint, 0, len(cfg.Params))
 	for _, param := range cfg.Params {
 		dc := detect.Config{Policy: cfg.Policy}
@@ -122,18 +115,18 @@ func DetectionTradeoff(cfg DetectionConfig) ([]DetectionPoint, error) {
 			return nil, fmt.Errorf("experiments: unknown detection policy %v", cfg.Policy)
 		}
 		pt := DetectionPoint{Policy: cfg.Policy, Param: param}
-		neighbors := cfg.Graph.Neighbors(cfg.CrashNode)
+		neighbors := cfg.Graph.Neighbors(victim)
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed := cfg.Seed + int64(trial)
 			inputs := UniformInputs(cfg.Graph.N(), seed)
 			e := newEngine(cfg.Graph, cfg.Algo.Protos(cfg.Graph.N()), inputs, seed, engineSpec{},
-				sim.WithDetector(sim.DetectorConfig{Detect: dc}))
+				sim.WithDetector(dc))
 			detectedAt := make(map[int]int, len(neighbors))
 			e.Run(sim.RunConfig{
 				MaxRounds: cfg.CrashRound + cfg.ObserveRounds,
 				OnRound: func(e *sim.Engine, round int) {
 					if round == cfg.CrashRound {
-						e.CrashNodeSilent(cfg.CrashNode)
+						e.CrashNodeSilent(victim)
 					}
 					if round <= cfg.CrashRound {
 						return
@@ -144,7 +137,7 @@ func DetectionTradeoff(cfg DetectionConfig) ([]DetectionPoint, error) {
 							continue
 						}
 						for _, s := range e.Suspects(j) {
-							if s == cfg.CrashNode {
+							if s == victim {
 								detectedAt[j] = round
 								break
 							}

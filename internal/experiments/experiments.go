@@ -127,9 +127,8 @@ var errNoFlows = errors.New("experiments: algorithm does not implement gossip.Fl
 // inputs and seed. The zero value is an averaging engine on the
 // sequential model.
 type engineSpec struct {
-	agg        gossip.Aggregate // initial weights of the scalar inputs
-	shards     int              // > 0: the phase-split model on that many shards
-	cacheAware bool             // with shards: topology.CacheAware's layout
+	agg    gossip.Aggregate // initial weights of the scalar inputs
+	shards int              // > 0: the phase-split model on that many shards
 }
 
 // newEngine is the package's one engine constructor: scalar inputs over
@@ -137,10 +136,7 @@ type engineSpec struct {
 // laid out as spec says, plus any further engine options (detector,
 // join factory).
 func newEngine(g *topology.Graph, protos []gossip.Protocol, inputs []float64, seed int64, spec engineSpec, opts ...sim.EngineOption) *sim.Engine {
-	switch {
-	case spec.shards > 0 && spec.cacheAware:
-		opts = append(opts, sim.WithPartition(topology.CacheAware(g, spec.shards)))
-	case spec.shards > 0:
+	if spec.shards > 0 {
 		opts = append(opts, sim.WithShards(spec.shards))
 	}
 	return sim.NewScalar(g, protos, inputs, spec.agg, seed, opts...)

@@ -265,8 +265,8 @@ func TestBitFlipsRecovery(t *testing.T) {
 // Fig. 8 (one small cell): dmGS works through the harness and PCF is at
 // least as accurate as PF.
 func TestQRSingleCell(t *testing.T) {
-	cfgPF := DefaultQRConfig(PushFlow, 5, 2)
-	cfgPCF := DefaultQRConfig(PCF, 5, 2)
+	cfgPF := DefaultQRConfig(PushFlow, 2)
+	cfgPCF := DefaultQRConfig(PCF, 2)
 	pf, err := QRSingle(cfgPF, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestQRSingleCell(t *testing.T) {
 }
 
 func TestQRConfigValidation(t *testing.T) {
-	cfg := DefaultQRConfig(PCF, 5, 0) // zero runs
+	cfg := DefaultQRConfig(PCF, 0) // zero runs
 	if _, err := QRSingle(cfg, 5); err == nil {
 		t.Fatal("zero runs accepted")
 	}

@@ -14,9 +14,6 @@ import (
 type QRConfig struct {
 	// Algorithm is the reduction used by dmGS (PF or PCF in the paper).
 	Algorithm Algorithm
-	// Dims are the hypercube dimensions to sweep (paper: 5..10, i.e.
-	// 32..1024 nodes).
-	Dims []int
 	// Cols is the number of matrix columns m (paper: 16; V ∈ R^{n×16},
 	// n = N).
 	Cols int
@@ -34,16 +31,11 @@ type QRConfig struct {
 	Seed int64
 }
 
-// DefaultQRConfig returns the paper's Fig. 8 setup, scaled by maxDim
-// (≤ 10) and runs (paper: 50).
-func DefaultQRConfig(algo Algorithm, maxDim, runs int) QRConfig {
-	var dims []int
-	for d := 5; d <= maxDim; d++ {
-		dims = append(dims, d)
-	}
+// DefaultQRConfig returns the paper's Fig. 8 setup, scaled by runs
+// (paper: 50).
+func DefaultQRConfig(algo Algorithm, runs int) QRConfig {
 	return QRConfig{
 		Algorithm: algo,
-		Dims:      dims,
 		Cols:      16,
 		Runs:      runs,
 		Eps:       1e-15,
@@ -75,20 +67,8 @@ type QRPoint struct {
 	ConvergedFrac float64
 }
 
-// QRScaling runs the Fig. 8 sweep for one algorithm.
-func QRScaling(cfg QRConfig) ([]QRPoint, error) {
-	var out []QRPoint
-	for _, dim := range cfg.Dims {
-		p, err := QRSingle(cfg, dim)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// QRSingle measures one node count of the Fig. 8 sweep.
+// QRSingle measures one node count, hypercube(dim), of the Fig. 8 sweep
+// (paper: dim 5..10, i.e. 32..1024 nodes).
 func QRSingle(cfg QRConfig, dim int) (QRPoint, error) {
 	g := topology.Hypercube(dim)
 	n := g.N()

@@ -132,7 +132,7 @@ func RecoveryComparison(cfg RecoveryConfig) ([]RecoveryPoint, error) {
 		for _, st := range strategies {
 			inputs := UniformInputs(cfg.Graph.N(), cfg.Seed)
 			e := newEngine(cfg.Graph, algo.Protos(cfg.Graph.N()), inputs, cfg.Seed, engineSpec{shards: cfg.Shards},
-				sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: cfg.DetectTimeout}}))
+				sim.WithDetector(detect.Config{Timeout: cfg.DetectTimeout}))
 			rec := metrics.New(metrics.Config{Shards: cfg.Shards, Interval: cfg.MaxRounds + 1})
 			e.SetMetrics(rec)
 			plan := fault.NewPlan(st.events...)

@@ -126,10 +126,9 @@ func TestSweepShardedDeterministic(t *testing.T) {
 }
 
 // The cross-path differential at sweep granularity: every combination
-// of worker-pool size, shard count and partitioner layout produces
-// byte-identical sweep JSON. GOMAXPROCS is raised so the explicit
-// workers × shards grids pass the nested-parallelism budget and the
-// worker pools genuinely fan out.
+// of worker-pool size and shard count produces byte-identical sweep
+// JSON. GOMAXPROCS is raised so the explicit workers × shards grids pass
+// the nested-parallelism budget and the worker pools genuinely fan out.
 func TestSweepShardLayoutInvariance(t *testing.T) {
 	old := runtime.GOMAXPROCS(12)
 	defer runtime.GOMAXPROCS(old)
@@ -138,14 +137,10 @@ func TestSweepShardLayoutInvariance(t *testing.T) {
 	ref := mustSweep(t, base).JSON()
 	for _, workers := range []int{1, 4} {
 		for _, shards := range []int{2, 3} {
-			for _, cacheAware := range []bool{false, true} {
-				cfg := smallSweep(workers, true)
-				cfg.Shards = shards
-				cfg.CacheAware = cacheAware
-				if got := mustSweep(t, cfg).JSON(); !bytes.Equal(ref, got) {
-					t.Fatalf("workers=%d shards=%d cacheAware=%v differs from the sequential sharded reference",
-						workers, shards, cacheAware)
-				}
+			cfg := smallSweep(workers, true)
+			cfg.Shards = shards
+			if got := mustSweep(t, cfg).JSON(); !bytes.Equal(ref, got) {
+				t.Fatalf("workers=%d shards=%d differs from the sequential sharded reference", workers, shards)
 			}
 		}
 	}

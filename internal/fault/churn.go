@@ -16,8 +16,6 @@ import (
 // String returns the operation's schedule name.
 func (op Op) String() string {
 	switch op {
-	case OpAuto:
-		return "auto"
 	case OpLinkFail:
 		return "link-fail"
 	case OpLinkFailAbrupt:
@@ -71,7 +69,7 @@ func (p *Plan) Validate(g *topology.Graph) error {
 		alive[i] = true
 	}
 	for idx, ev := range evs {
-		op := ev.op()
+		op := ev.Op
 		fail := func(format string, args ...interface{}) error {
 			return fmt.Errorf("fault: plan event %d (%s at round %d): %s",
 				idx, op, ev.Round, fmt.Sprintf(format, args...))
@@ -179,6 +177,8 @@ func (p *Plan) Validate(g *topology.Graph) error {
 			}
 			o.RemoveEdge(ev.A, ev.B)
 			o.AddEdge(ev.A, ev.C)
+		default:
+			return fail("unknown operation")
 		}
 	}
 	return nil
@@ -191,46 +191,25 @@ type ChurnOptions struct {
 	Rounds int
 	// Every is the cadence between membership events (default 10).
 	Every int
-	// JoinFrac and LeaveFrac split the event mix: joins with
-	// probability JoinFrac, graceful leaves with LeaveFrac, rewires with
-	// the remainder (defaults 0.4 and 0.3).
-	JoinFrac, LeaveFrac float64
-	// PeersPerJoin is how many existing live nodes each joiner wires to
-	// (default 2, capped by the live count).
-	PeersPerJoin int
-	// MinLive floors the live roster: leaves that would shrink it below
-	// this are skipped (default 3).
-	MinLive int
-	// AllowDisconnect permits leaves and rewires that split the live
-	// subgraph; by default such events are skipped so convergence to the
-	// live mean stays well-defined.
-	AllowDisconnect bool
 	// Losses seeds the schedule with this many per-link loss rates at
-	// round 1, drawn uniformly from (0, MaxLoss] over distinct random
-	// base edges (default 0 — churn property tests need exact mass).
+	// round 1, drawn uniformly from (0, churnMaxLoss] over distinct
+	// random base edges (default 0 — churn property tests need exact
+	// mass).
 	Losses int
-	// MaxLoss bounds the per-link loss rates (default 0.05).
-	MaxLoss float64
 }
 
-func (c ChurnOptions) withDefaults() ChurnOptions {
-	if c.Every <= 0 {
-		c.Every = 10
-	}
-	if c.JoinFrac == 0 && c.LeaveFrac == 0 {
-		c.JoinFrac, c.LeaveFrac = 0.4, 0.3
-	}
-	if c.PeersPerJoin <= 0 {
-		c.PeersPerJoin = 2
-	}
-	if c.MinLive <= 0 {
-		c.MinLive = 3
-	}
-	if c.MaxLoss <= 0 {
-		c.MaxLoss = 0.05
-	}
-	return c
-}
+// The generated event mix: joins with probability churnJoinFrac,
+// graceful leaves with churnLeaveFrac, rewires with the remainder. Each
+// joiner wires to churnPeersPerJoin live nodes (capped by the live
+// count); leaves that would shrink the live roster below churnMinLive
+// are skipped.
+const (
+	churnJoinFrac     float64 = 0.4
+	churnLeaveFrac    float64 = 0.3
+	churnPeersPerJoin         = 2
+	churnMinLive              = 3
+	churnMaxLoss      float64 = 0.05
+)
 
 // ChurnSchedule generates a seeded sustained-churn plan over the given
 // base graph: joins of brand-new nodes (dense ids, fresh mass), graceful
@@ -241,7 +220,9 @@ func (c ChurnOptions) withDefaults() ChurnOptions {
 // rewire target) are skipped, so the schedule may hold fewer events than
 // the horizon allows.
 func ChurnSchedule(g *topology.Graph, opts ChurnOptions, seed int64) *Plan {
-	opts = opts.withDefaults()
+	if opts.Every <= 0 {
+		opts.Every = 10
+	}
 	rng := rand.New(rand.NewSource(seed))
 	o := topology.NewOverlay(g)
 	alive := make([]bool, g.N())
@@ -311,9 +292,9 @@ func ChurnSchedule(g *topology.Graph, opts ChurnOptions, seed int64) *Plan {
 		edges := g.Edges()
 		rng.Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
 		for k := 0; k < opts.Losses && k < len(edges); k++ {
-			p := rng.Float64() * opts.MaxLoss
+			p := rng.Float64() * churnMaxLoss
 			if p == 0 {
-				p = opts.MaxLoss
+				p = churnMaxLoss
 			}
 			plan.Add(SetLinkLoss(1, edges[k][0], edges[k][1], p))
 		}
@@ -322,8 +303,8 @@ func ChurnSchedule(g *topology.Graph, opts ChurnOptions, seed int64) *Plan {
 	for r := opts.Every; r < opts.Rounds; r += opts.Every {
 		x := rng.Float64()
 		switch {
-		case x < opts.JoinFrac:
-			k := opts.PeersPerJoin
+		case x < churnJoinFrac:
+			k := churnPeersPerJoin
 			if k > liveCount {
 				k = liveCount
 			}
@@ -352,8 +333,8 @@ func ChurnSchedule(g *topology.Graph, opts ChurnOptions, seed int64) *Plan {
 			o.AddNode(peers...)
 			alive = append(alive, true)
 			liveCount++
-		case x < opts.JoinFrac+opts.LeaveFrac:
-			if liveCount <= opts.MinLive {
+		case x < churnJoinFrac+churnLeaveFrac:
+			if liveCount <= churnMinLive {
 				continue
 			}
 			placed := false
@@ -368,7 +349,7 @@ func ChurnSchedule(g *topology.Graph, opts ChurnOptions, seed int64) *Plan {
 				}
 				alive[v] = false
 				liveCount--
-				if !opts.AllowDisconnect && !liveConnected() {
+				if !liveConnected() {
 					// Revert: re-add the edges and keep v alive.
 					for _, j := range row {
 						o.AddEdge(v, int(j))
@@ -396,7 +377,7 @@ func ChurnSchedule(g *topology.Graph, opts ChurnOptions, seed int64) *Plan {
 				}
 				o.RemoveEdge(a, b)
 				o.AddEdge(a, c)
-				if !opts.AllowDisconnect && !liveConnected() {
+				if !liveConnected() {
 					o.RemoveEdge(a, c)
 					o.AddEdge(a, b)
 					continue

@@ -17,7 +17,7 @@ func TestChurnScheduleAlwaysValid(t *testing.T) {
 		"hypercube":  topology.Hypercube(4),
 		"torus":      topology.Torus2D(4, 5),
 		"watts":      topology.WattsStrogatz(20, 4, 0.3, 9),
-		"small-ring": topology.Ring(4), // MinLive bites immediately
+		"small-ring": topology.Ring(4), // the live floor bites immediately
 	}
 	for name, g := range graphs {
 		for seed := int64(0); seed < 40; seed++ {
@@ -37,12 +37,13 @@ func TestChurnScheduleAlwaysValid(t *testing.T) {
 }
 
 // TestChurnScheduleRespectsMinLive replays each schedule's membership
-// bookkeeping and checks the live floor is never crossed.
+// bookkeeping and checks the live floor is never crossed, and that the
+// schedules do reach it.
 func TestChurnScheduleRespectsMinLive(t *testing.T) {
 	g := topology.Ring(6)
+	floor := g.N()
 	for seed := int64(0); seed < 20; seed++ {
-		opts := ChurnOptions{Rounds: 200, Every: 3, MinLive: 5}
-		plan := ChurnSchedule(g, opts, seed)
+		plan := ChurnSchedule(g, ChurnOptions{Rounds: 200, Every: 3}, seed)
 		live := g.N()
 		for _, ev := range plan.Events() {
 			switch ev.Op {
@@ -51,10 +52,14 @@ func TestChurnScheduleRespectsMinLive(t *testing.T) {
 			case OpNodeLeave:
 				live--
 			}
-			if live < opts.MinLive {
-				t.Fatalf("seed=%d: live count %d dropped below MinLive %d", seed, live, opts.MinLive)
+			if live < churnMinLive {
+				t.Fatalf("seed=%d: live count %d dropped below the floor %d", seed, live, churnMinLive)
 			}
+			floor = min(floor, live)
 		}
+	}
+	if floor != churnMinLive {
+		t.Fatalf("lowest live count %d, want the floor %d", floor, churnMinLive)
 	}
 }
 
@@ -79,6 +84,8 @@ func TestValidateRejects(t *testing.T) {
 		"loss no edge":      {NewPlan(SetLinkLoss(1, 0, 3, 0.5)), "not in the"},
 		"loss out of range": {NewPlan(SetLinkLoss(1, 0, 1, 1.5)), "[0,1]"},
 		"crash then crash":  {NewPlan(NodeCrash(1, 2), NodeCrash(2, 2)), "dead"},
+		"unknown op":        {NewPlan(Event{Round: 1, Op: Op(99)}), "unknown operation"},
+		"no op":             {NewPlan(Event{Round: 1}), "unknown operation"},
 	}
 	for name, tc := range cases {
 		err := tc.plan.Validate(g)

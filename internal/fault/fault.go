@@ -239,14 +239,10 @@ func Window(ic sim.Interceptor, from, to int) sim.Interceptor {
 // Op identifies the kind of a scheduled failure event.
 type Op int
 
+// The zero Op names no operation; Plan.Validate rejects it.
 const (
-	// OpAuto derives the operation from the legacy Node/Abrupt encoding
-	// (Node >= 0: node crash; otherwise link failure, abrupt when the
-	// Abrupt flag is set). The zero value, so Events built by hand with
-	// only Round/A/B/Node keep their historical meaning.
-	OpAuto Op = iota
 	// OpLinkFail is the quiescent, notified link failure (Figs. 4/7).
-	OpLinkFail
+	OpLinkFail Op = iota + 1
 	// OpLinkFailAbrupt loses in-flight messages; on engines without a
 	// quiescent-flush path (the concurrent runtime) it equals OpLinkFail.
 	OpLinkFailAbrupt
@@ -293,16 +289,11 @@ type Event struct {
 	// Round at which the failure strikes (before the round executes; in
 	// Plan.RunOn it is a multiple of the tick duration).
 	Round int
-	// Link failure when Node < 0: the undirected link (A, B) fails.
+	// A, B are the endpoints of a link operation (-1 otherwise).
 	A, B int
-	// Node failure when Node >= 0: the node crashes entirely.
+	// Node is the subject of a node operation (-1 otherwise).
 	Node int
-	// Abrupt selects the mid-transit link-failure model (in-flight
-	// messages lost) instead of the quiescent one. See
-	// sim.Engine.FailLinkAbrupt.
-	Abrupt bool
-	// Op selects the operation explicitly; OpAuto (the zero value) keeps
-	// the legacy Node/Abrupt encoding above.
+	// Op selects the operation.
 	Op Op
 	// C is the new far endpoint of an OpEdgeRewire: (A, B) → (A, C).
 	C int
@@ -314,33 +305,22 @@ type Event struct {
 	P float64
 }
 
-// op resolves the effective operation of the event.
-func (ev Event) op() Op {
-	if ev.Op != OpAuto {
-		return ev.Op
-	}
-	switch {
-	case ev.Node >= 0:
-		return OpNodeCrash
-	case ev.Abrupt:
-		return OpLinkFailAbrupt
-	default:
-		return OpLinkFail
-	}
-}
-
 // LinkFailure returns a quiescent link-failure event (in-flight messages
 // delivered before the link dies), the model of the paper's Figs. 4/7.
-func LinkFailure(round, a, b int) Event { return Event{Round: round, A: a, B: b, Node: -1} }
+func LinkFailure(round, a, b int) Event {
+	return Event{Round: round, A: a, B: b, Node: -1, Op: OpLinkFail}
+}
 
 // AbruptLinkFailure returns a mid-transit link-failure event (in-flight
-// messages lost).
+// messages lost; see sim.Engine.FailLinkAbrupt).
 func AbruptLinkFailure(round, a, b int) Event {
-	return Event{Round: round, A: a, B: b, Node: -1, Abrupt: true}
+	return Event{Round: round, A: a, B: b, Node: -1, Op: OpLinkFailAbrupt}
 }
 
 // NodeCrash returns a node-crash event.
-func NodeCrash(round, node int) Event { return Event{Round: round, Node: node, A: -1, B: -1} }
+func NodeCrash(round, node int) Event {
+	return Event{Round: round, Node: node, A: -1, B: -1, Op: OpNodeCrash}
+}
 
 // SilentLinkFailure returns an unannounced permanent link outage: the
 // link drops everything from the given round on and nobody is told.
@@ -549,7 +529,7 @@ func (p *Plan) OnRound(e *sim.Engine, round int) {
 		if ev.Round != round {
 			continue
 		}
-		if ev.op() == OpLinkFailAbrupt {
+		if ev.Op == OpLinkFailAbrupt {
 			e.FailLinkAbrupt(ev.A, ev.B)
 			continue
 		}
@@ -562,7 +542,7 @@ func (p *Plan) OnRound(e *sim.Engine, round int) {
 // (the concurrent runtime's FailLink is already abrupt); OnRound keeps
 // the distinction for the simulator.
 func apply(r Runner, ev Event) {
-	switch ev.op() {
+	switch ev.Op {
 	case OpLinkFail, OpLinkFailAbrupt:
 		r.FailLink(ev.A, ev.B)
 	case OpNodeCrash:

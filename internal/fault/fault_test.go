@@ -231,12 +231,12 @@ func TestPlanFiresEvents(t *testing.T) {
 
 func TestAbruptLinkFailureEvent(t *testing.T) {
 	ev := AbruptLinkFailure(5, 1, 2)
-	if !ev.Abrupt || ev.Node != -1 || ev.Round != 5 {
+	if ev.Op != OpLinkFailAbrupt || ev.Node != -1 || ev.Round != 5 {
 		t.Fatalf("event = %+v", ev)
 	}
 	qe := LinkFailure(5, 1, 2)
-	if qe.Abrupt {
-		t.Fatal("quiescent event marked abrupt")
+	if qe.Op != OpLinkFail {
+		t.Fatalf("quiescent event op = %v", qe.Op)
 	}
 }
 

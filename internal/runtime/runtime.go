@@ -82,54 +82,43 @@ func (l *lockedInterceptor) Intercept(seq int, msg *gossip.Message) bool {
 
 // DetectorConfig enables and tunes oracle-free failure detection. Every
 // node runs one detect.Detector over its neighbors, fed by all received
-// traffic; keepalives cover links the gossip schedule leaves idle, and
-// suspected neighbors are probed at a lower rate so that healed links
-// reintegrate instead of staying partitioned (after mutual eviction
-// neither side gossips to the other, so without probes a recovered
-// neighbor would never be heard again).
+// traffic; a live link idle for SuspicionTimeout/5 gets an explicit
+// keepalive, and suspected neighbors are probed every twice that so
+// that healed links reintegrate instead of staying partitioned (after
+// mutual eviction neither side gossips to the other, so without probes
+// a recovered neighbor would never be heard again).
 type DetectorConfig struct {
 	// Policy selects the suspicion rule (default detect.FixedTimeout).
 	Policy detect.Policy
 	// SuspicionTimeout is the silence threshold of the fixed-timeout
 	// policy, and the bootstrap threshold of φ-accrual before enough
 	// inter-arrival samples exist. Default 25ms — comfortably above the
-	// default keepalive cadence yet far below any test timeout.
+	// keepalive cadence yet far below any test timeout.
 	SuspicionTimeout time.Duration
 	// PhiThreshold is the φ-accrual suspicion level (default 8).
 	PhiThreshold float64
-	// WindowSize is the φ-accrual inter-arrival window (default 64).
-	WindowSize int
-	// KeepaliveInterval bounds how long a node lets a live link sit idle
-	// before sending an explicit keepalive (default SuspicionTimeout/5).
-	KeepaliveInterval time.Duration
-	// ProbeInterval is the cadence of reintegration probes toward
-	// suspected neighbors (default 2×KeepaliveInterval).
-	ProbeInterval time.Duration
-	// DisableReintegration makes every suspicion permanent: the first
-	// eviction withdraws the neighbor for good, as an oracle notification
-	// would.
-	DisableReintegration bool
 }
 
 func (dc DetectorConfig) withDefaults() DetectorConfig {
 	if dc.SuspicionTimeout == 0 {
 		dc.SuspicionTimeout = 25 * time.Millisecond
 	}
-	if dc.KeepaliveInterval == 0 {
-		dc.KeepaliveInterval = dc.SuspicionTimeout / 5
-	}
-	if dc.ProbeInterval == 0 {
-		dc.ProbeInterval = 2 * dc.KeepaliveInterval
-	}
 	return dc
+}
+
+// keepaliveInterval bounds how long a node lets a live link sit idle
+// before sending an explicit keepalive; probes toward suspected
+// neighbors go out every twice that.
+func (dc DetectorConfig) keepaliveInterval() time.Duration {
+	return dc.SuspicionTimeout / 5
 }
 
 func (dc DetectorConfig) validate() error {
 	if dc.SuspicionTimeout <= 0 {
 		return errors.New("runtime: DetectorConfig.SuspicionTimeout must be positive")
 	}
-	if dc.KeepaliveInterval <= 0 || dc.ProbeInterval <= 0 {
-		return errors.New("runtime: detector keepalive/probe intervals must be positive")
+	if dc.keepaliveInterval() <= 0 {
+		return errors.New("runtime: DetectorConfig.SuspicionTimeout is too short for a keepalive interval")
 	}
 	return dc.detectConfig().Validate()
 }
@@ -141,7 +130,6 @@ func (dc DetectorConfig) detectConfig() detect.Config {
 		Policy:       dc.Policy,
 		Timeout:      dc.SuspicionTimeout.Seconds(),
 		PhiThreshold: dc.PhiThreshold,
-		WindowSize:   dc.WindowSize,
 	}
 }
 
@@ -800,6 +788,9 @@ func (net *Network) Spread() float64 {
 	return worst
 }
 
+// checkInterval is how often Run's monitor samples the network.
+const checkInterval = 200 * time.Microsecond
+
 // RunConfig controls a concurrent run.
 type RunConfig struct {
 	// Eps is the convergence target checked by the monitor (> 0).
@@ -812,9 +803,6 @@ type RunConfig struct {
 	// target; for mass-conserving protocols, spread ≤ ε implies all
 	// estimates are within ε of the aggregate they jointly converge to.
 	OracleFree bool
-	// CheckInterval is how often the monitor samples the network.
-	// Default 200µs.
-	CheckInterval time.Duration
 	// Timeout bounds the run wall-clock (required, > 0).
 	Timeout time.Duration
 	// Stable requires the error to hold below Eps for this many
@@ -852,9 +840,6 @@ type RunResult struct {
 func (net *Network) Run(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	if err := cfg.validate(); err != nil {
 		return RunResult{}, err
-	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = 200 * time.Microsecond
 	}
 	if cfg.Stable <= 0 {
 		cfg.Stable = 1
@@ -898,7 +883,7 @@ func (net *Network) Run(ctx context.Context, cfg RunConfig) (RunResult, error) {
 	res := RunResult{FinalMaxError: math.Inf(1)}
 	stable := 0
 	tick := 0
-	ticker := time.NewTicker(cfg.CheckInterval)
+	ticker := time.NewTicker(checkInterval)
 	defer ticker.Stop()
 monitor:
 	for {
@@ -1121,9 +1106,6 @@ func (net *Network) nodeLoop(ctx context.Context, nd *node) {
 		if nd.det != nil && !nd.crashed {
 			for _, j := range nd.det.Check(now) {
 				nd.proto.OnLinkFailure(j)
-				if net.cfg.Detector.DisableReintegration {
-					nd.det.Remove(j)
-				}
 				if nd.rec != nil {
 					nd.rec.IncShared(metrics.Suspicions)
 					nd.rec.IncShared(metrics.Evictions)
@@ -1164,7 +1146,7 @@ func (net *Network) nodeLoop(ctx context.Context, nd *node) {
 // appendKeepalives schedules keepalives for idle live links and probes
 // for suspected neighbors. Caller holds nd.mu.
 func (nd *node) appendKeepalives(out []gossip.Message, now float64, dc *DetectorConfig) []gossip.Message {
-	keepalive := dc.KeepaliveInterval.Seconds()
+	keepalive := dc.keepaliveInterval().Seconds()
 	for _, j32 := range nd.proto.LiveNeighbors() {
 		j := int(j32)
 		if now-nd.lastSent[j] >= keepalive {
@@ -1173,7 +1155,7 @@ func (nd *node) appendKeepalives(out []gossip.Message, now float64, dc *Detector
 			nd.keepalives++
 		}
 	}
-	probe := dc.ProbeInterval.Seconds()
+	probe := (2 * dc.keepaliveInterval()).Seconds()
 	for _, j := range nd.det.Suspects() {
 		if now-nd.lastSent[j] >= probe {
 			out = append(out, gossip.Message{From: nd.id, To: j, Kind: gossip.KindKeepalive})
@@ -1227,7 +1209,7 @@ func (net *Network) heardLocked(nd *node, from int, now float64) {
 	if nd.det == nil {
 		return
 	}
-	if nd.det.Heard(from, now) && !net.cfg.Detector.DisableReintegration {
+	if nd.det.Heard(from, now) {
 		nd.proto.OnLinkRecover(from)
 		if nd.rec != nil {
 			nd.rec.IncShared(metrics.Reintegrations)

@@ -117,7 +117,7 @@ func TestCrossEngineSilentCrash(t *testing.T) {
 	// Round simulator: round-denominated detector, crash injected by the
 	// plan at round 40, suspicion after 30 silent rounds.
 	eng := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 11,
-		sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+		sim.WithDetector(detect.Config{Timeout: 30}))
 	eng.Run(sim.RunConfig{MaxRounds: 500, OnRound: plan.OnRound})
 	simLo, simHi := math.Inf(1), math.Inf(-1)
 	for i := 0; i < n; i++ {
@@ -220,7 +220,7 @@ func TestCrossEngineTransientOutage(t *testing.T) {
 	// rounds, so the link is evicted mid-outage and reintegrated after
 	// the heal. Convergence is oracle-checked to the true mean.
 	eng := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 5,
-		sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+		sim.WithDetector(detect.Config{Timeout: 30}))
 	res := eng.Run(sim.RunConfig{MaxRounds: 4000, Eps: 1e-10, OnRound: plan.OnRound})
 	if !res.Converged {
 		t.Fatalf("sim did not reconverge after the outage: %.3e", eng.MaxError())

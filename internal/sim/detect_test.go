@@ -62,7 +62,7 @@ func TestSimSilentCrashDetected(t *testing.T) {
 	inputs[crash] = mean
 
 	e := NewScalar(g, pcfProtos(n), inputs, gossip.Average, 101,
-		WithDetector(DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+		WithDetector(detect.Config{Timeout: 30}))
 	res := e.Run(RunConfig{
 		MaxRounds: 4000,
 		OnRound: func(e *Engine, round int) {
@@ -98,7 +98,7 @@ func TestSimSilentCrashDetected(t *testing.T) {
 func TestSimTransientOutageEvictsAndReintegrates(t *testing.T) {
 	g := topology.Ring(16)
 	e := NewScalar(g, pcfProtos(g.N()), someInputs(g.N()), gossip.Average, 102,
-		WithDetector(DetectorConfig{Detect: detect.Config{Timeout: 25}}))
+		WithDetector(detect.Config{Timeout: 25}))
 
 	sawMutualSuspicion := false
 	res := e.Run(RunConfig{
@@ -142,7 +142,7 @@ func TestSimHangResumeReintegrates(t *testing.T) {
 	g := topology.Hypercube(4)
 	const hung = 3
 	e := NewScalar(g, pcfProtos(g.N()), someInputs(g.N()), gossip.Average, 103,
-		WithDetector(DetectorConfig{Detect: detect.Config{Timeout: 25}}))
+		WithDetector(detect.Config{Timeout: 25}))
 	res := e.Run(RunConfig{
 		MaxRounds: 6000,
 		Eps:       1e-11,
@@ -170,11 +170,11 @@ func TestSimPhiAccrualPolicy(t *testing.T) {
 	g := topology.Hypercube(5)
 	const crash = 17
 	e := NewScalar(g, pcfProtos(g.N()), someInputs(g.N()), gossip.Average, 104,
-		WithDetector(DetectorConfig{Detect: detect.Config{
+		WithDetector(detect.Config{
 			Policy:       detect.PhiAccrual,
 			Timeout:      40, // bootstrap until MinSamples
 			PhiThreshold: 4,
-		}}))
+		}))
 	e.Run(RunConfig{
 		MaxRounds: 2000,
 		OnRound: func(e *Engine, round int) {
@@ -200,7 +200,7 @@ func TestSimDetectorPreservesSchedule(t *testing.T) {
 	run := func(withDet bool) []float64 {
 		var opts []EngineOption
 		if withDet {
-			opts = append(opts, WithDetector(DetectorConfig{Detect: detect.Config{Timeout: 20}}))
+			opts = append(opts, WithDetector(detect.Config{Timeout: 20}))
 		}
 		e := NewScalar(g, pcfProtos(g.N()), someInputs(g.N()), gossip.Average, 77, opts...)
 		e.Run(RunConfig{MaxRounds: 120})
@@ -225,7 +225,7 @@ func TestSimDetectorDeterminism(t *testing.T) {
 	g := topology.Hypercube(5)
 	run := func() ([]float64, DetectorStats) {
 		e := NewScalar(g, pcfProtos(g.N()), someInputs(g.N()), gossip.Average, 55,
-			WithDetector(DetectorConfig{Detect: detect.Config{Timeout: 25}}))
+			WithDetector(detect.Config{Timeout: 25}))
 		e.Run(RunConfig{
 			MaxRounds: 600,
 			OnRound: func(e *Engine, round int) {
@@ -261,7 +261,7 @@ func TestSimDetectorWithRobustVariant(t *testing.T) {
 	g := topology.Ring(8)
 	e := NewScalar(g, makeProtos(g.N(), func() gossip.Protocol { return core.NewRobust() }),
 		someInputs(g.N()), gossip.Average, 105,
-		WithDetector(DetectorConfig{Detect: detect.Config{Timeout: 25}}))
+		WithDetector(detect.Config{Timeout: 25}))
 	res := e.Run(RunConfig{
 		MaxRounds: 6000,
 		Eps:       1e-11,
@@ -298,7 +298,7 @@ func TestDetectorHeapPerNode(t *testing.T) {
 	n := g.N()
 	e := NewScalar(g, makeProtos(n, func() gossip.Protocol { return core.NewEfficient() }),
 		someInputs(n), gossip.Average, 1,
-		WithDetector(DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+		WithDetector(detect.Config{Timeout: 30}))
 	perNode := float64(heap()-base) / float64(n)
 	runtime.KeepAlive(e)
 	if perNode >= 2048 {
@@ -324,7 +324,7 @@ func TestFixedTimeoutDetectorHeapAfterRounds(t *testing.T) {
 	n := g.N()
 	e := NewScalar(g, makeProtos(n, func() gossip.Protocol { return core.NewEfficient() }),
 		someInputs(n), gossip.Average, 1,
-		WithDetector(DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+		WithDetector(detect.Config{Timeout: 30}))
 	for range 300 {
 		e.Step()
 	}

@@ -53,7 +53,7 @@ func TestShardEventFlushOrder(t *testing.T) {
 		rec := metrics.New(metrics.Config{Shards: 4, Interval: 50})
 		plan := fault.NewPlan(events...)
 		e := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 11,
-			opt, sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+			opt, sim.WithDetector(detect.Config{Timeout: 30}))
 		defer e.Close()
 		e.SetMetrics(rec)
 		e.Run(sim.RunConfig{MaxRounds: 150, OnRound: plan.OnRound})
@@ -157,7 +157,7 @@ func TestTimingTransparent(t *testing.T) {
 		rec := metrics.New(metrics.Config{Shards: 4, Interval: 10, Timing: timing})
 		plan := fault.NewPlan(events...)
 		e := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 11,
-			append(opts, sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))...)
+			append(opts, sim.WithDetector(detect.Config{Timeout: 30}))...)
 		defer e.Close()
 		e.SetMetrics(rec)
 		var tl *metrics.Timeline

@@ -130,7 +130,7 @@ func (e *Engine) JoinNode(id int, value float64, peers []int) {
 		e.nodeCkpt = append(e.nodeCkpt, nil)
 	}
 	if e.det != nil {
-		e.det = append(e.det, detect.New(e.detCfg.Detect, o.Neighbors(id), float64(e.round)))
+		e.det = append(e.det, detect.New(*e.detCfg, o.Neighbors(id), float64(e.round)))
 		e.lastSent = append(e.lastSent, nil)
 		e.clearSent(id)
 	}

@@ -104,7 +104,7 @@ func TestPartitionDeterminismFaults(t *testing.T) {
 	build := func(opt sim.EngineOption) shardFingerprint {
 		plan := fault.NewPlan(events...)
 		eng := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 11,
-			opt, sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+			opt, sim.WithDetector(detect.Config{Timeout: 30}))
 		defer eng.Close()
 		return fingerprintEngine(eng, 400, plan.OnRound)
 	}
@@ -256,7 +256,7 @@ func TestDeliveryPathFaultsAndLoss(t *testing.T) {
 			build := func(opts ...sim.EngineOption) (shardFingerprint, metrics.Snapshot, int) {
 				plan := fault.NewPlan(events...)
 				eng := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 11,
-					append(opts, sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))...)
+					append(opts, sim.WithDetector(detect.Config{Timeout: 30}))...)
 				defer eng.Close()
 				lossyTreeLinks(eng)
 				rec := metrics.New(metrics.Config{Interval: 1 << 30})

@@ -144,7 +144,7 @@ func runPinScenario(t *testing.T, sc pinScenario, mk func() gossip.Protocol, sha
 		opts = append(opts, sim.WithPartition(pt))
 	}
 	if sc.detect {
-		opts = append(opts, sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 12}}))
+		opts = append(opts, sim.WithDetector(detect.Config{Timeout: 12}))
 	}
 	e := sim.NewScalar(g, protos, inputs, gossip.Average, 17, opts...)
 	defer e.Close()

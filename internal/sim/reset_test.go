@@ -112,7 +112,7 @@ func TestResetReproducesFreshWithDetector(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = float64(i%9) + 0.125
 	}
-	cfg := sim.DetectorConfig{Detect: detect.Config{Timeout: 12}}
+	cfg := detect.Config{Timeout: 12}
 	plan := fault.NewPlan(fault.LinkOutage(20, 60, 0, 1)...)
 	run := func(e *sim.Engine) sim.Result {
 		return e.Run(sim.RunConfig{MaxRounds: 150, Record: true, OnRound: plan.OnRound})

@@ -205,7 +205,7 @@ func TestShardDeterminismFaults(t *testing.T) {
 		plan := fault.NewPlan(events...)
 		eng := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 11,
 			sim.WithShards(p),
-			sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+			sim.WithDetector(detect.Config{Timeout: 30}))
 		fp := fingerprintEngine(eng, 400, plan.OnRound)
 		if idx == 0 {
 			want = fp
@@ -243,7 +243,7 @@ func TestShardDeterminismReset(t *testing.T) {
 	mk := func() gossip.Protocol { return core.NewRobust() }
 	eng := sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, 3,
 		sim.WithShards(4),
-		sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+		sim.WithDetector(detect.Config{Timeout: 30}))
 	first := fingerprintEngine(eng, 150, nil)
 	eng.Reset(3)
 	second := fingerprintEngine(eng, 150, nil)

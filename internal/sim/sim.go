@@ -138,7 +138,9 @@ type Engine struct {
 	silenced linkSet // silently dropping links (no notification)
 	hung     []bool  // transiently frozen nodes
 
-	detCfg     *DetectorConfig
+	detCfg     *detect.Config
+	keepEvery  int // idle rounds before a live link gets a keepalive
+	probeEvery int // probe cadence toward suspected neighbors, in rounds
 	det        []*detect.Detector
 	lastSent   [][]int // lastSent[i][p]: round of node i's last send to layoutRow(i)[p]
 	keepalives int
@@ -179,47 +181,22 @@ type Engine struct {
 // EngineOption configures an Engine at construction time.
 type EngineOption func(*Engine)
 
-// DetectorConfig mirrors runtime.DetectorConfig for the round simulator:
-// all durations are measured in rounds. A node pushes one data message
-// per round to one random neighbor, so a degree-d node's links each see
-// data roughly every d rounds — keepalives cover the gaps.
-type DetectorConfig struct {
-	// Detect is the engine-agnostic detector configuration; its Timeout
-	// is in rounds (required > 0).
-	Detect detect.Config
-	// KeepaliveInterval is the maximal idle time of a live link, in
-	// rounds, before an explicit keepalive is pushed (default
-	// max(1, Timeout/5)).
-	KeepaliveInterval int
-	// ProbeInterval is the reintegration-probe cadence toward suspected
-	// neighbors, in rounds (default 2×KeepaliveInterval).
-	ProbeInterval int
-	// DisableReintegration makes every suspicion permanent.
-	DisableReintegration bool
-}
-
-func (dc DetectorConfig) withDefaults() DetectorConfig {
-	if dc.KeepaliveInterval == 0 {
-		dc.KeepaliveInterval = int(dc.Detect.Timeout / 5)
-		if dc.KeepaliveInterval < 1 {
-			dc.KeepaliveInterval = 1
-		}
-	}
-	if dc.ProbeInterval == 0 {
-		dc.ProbeInterval = 2 * dc.KeepaliveInterval
-	}
-	return dc
-}
-
 // WithDetector enables oracle-free failure detection: every node runs a
 // detect.Detector over its neighbors, suspected neighbors are evicted
 // via OnLinkFailure and reintegrated via OnLinkRecover when their
 // traffic resumes. The detector adds no randomness — a run with the
 // detector enabled uses the same seeded communication schedule as one
 // without, which is what makes detection experiments reproducible.
-func WithDetector(cfg DetectorConfig) EngineOption {
-	cfg = cfg.withDefaults()
-	return func(e *Engine) { e.detCfg = &cfg }
+//
+// All durations are in rounds; cfg.Timeout is required > 0. A node
+// pushes one data message per round to one random neighbor, so a
+// degree-d node's links each see data roughly every d rounds. A live
+// link idle for max(1, Timeout/5) rounds gets an explicit keepalive, and
+// suspected neighbors are probed every twice that so healed links
+// reintegrate.
+func WithDetector(cfg detect.Config) EngineOption {
+	keep := max(1, int(cfg.Timeout/5))
+	return func(e *Engine) { e.detCfg, e.keepEvery, e.probeEvery = &cfg, keep, 2*keep }
 }
 
 // WithVectorScaleErrors switches the per-node error metric from
@@ -276,13 +253,13 @@ func New(g *topology.Graph, protos []gossip.Protocol, init []gossip.Value, seed 
 		e.perm[i] = int32(i)
 	}
 	if e.detCfg != nil {
-		if err := e.detCfg.Detect.Validate(); err != nil {
+		if err := e.detCfg.Validate(); err != nil {
 			panic(err)
 		}
 		e.det = make([]*detect.Detector, n)
 		e.lastSent = make([][]int, n)
 		for i := range protos {
-			e.det[i] = detect.New(e.detCfg.Detect, g.Neighbors(i), 0)
+			e.det[i] = detect.New(*e.detCfg, g.Neighbors(i), 0)
 			e.clearSent(i)
 		}
 	}
@@ -347,7 +324,7 @@ func (e *Engine) Reset(seed int64) {
 	}
 	if e.detCfg != nil {
 		for i := range e.protos {
-			e.det[i] = detect.New(e.detCfg.Detect, e.graph.Neighbors(i), 0)
+			e.det[i] = detect.New(*e.detCfg, e.graph.Neighbors(i), 0)
 			e.clearSent(i)
 		}
 	}
@@ -605,9 +582,6 @@ func (e *Engine) activate(ids []int32, s int) {
 		if e.det != nil {
 			for _, j := range e.det[i].Check(float64(e.round)) {
 				p.OnLinkFailure(j)
-				if e.detCfg.DisableReintegration {
-					e.det[i].Remove(j)
-				}
 				if e.rec != nil {
 					b := e.rec.Bank(s)
 					b.Inc(metrics.Suspicions)
@@ -700,19 +674,19 @@ func (e *Engine) growSent(i int) {
 }
 
 // sendKeepalives pushes keepalives on live links that have been idle for
-// KeepaliveInterval rounds and probes suspected neighbors every
-// ProbeInterval rounds so that healed links reintegrate (after mutual
+// keepEvery rounds and probes suspected neighbors every probeEvery
+// rounds so that healed links reintegrate (after mutual
 // eviction neither side gossips to the other; only probes can cross a
 // recovered link). They are counted per shard and folded into the
 // engine total at the end of the round.
 func (e *Engine) sendKeepalives(i, s int) {
 	for _, j32 := range e.protos[i].LiveNeighbors() {
-		if j := int(j32); e.sinceSent(i, j) >= e.detCfg.KeepaliveInterval {
+		if j := int(j32); e.sinceSent(i, j) >= e.keepEvery {
 			e.keepalive(i, j, s)
 		}
 	}
 	for _, j := range e.det[i].Suspects() {
-		if e.sinceSent(i, j) >= e.detCfg.ProbeInterval {
+		if e.sinceSent(i, j) >= e.probeEvery {
 			e.keepalive(i, j, s)
 		}
 	}
@@ -768,7 +742,7 @@ func (e *Engine) heard(i, from int) {
 	if e.det == nil {
 		return
 	}
-	if e.det[i].Heard(from, float64(e.round)) && !e.detCfg.DisableReintegration {
+	if e.det[i].Heard(from, float64(e.round)) {
 		e.protos[i].OnLinkRecover(from)
 		if e.rec != nil {
 			// i's shard bank: the only one i's activation may write.

@@ -369,7 +369,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	}
 	if e.det != nil {
 		for i := 0; i < n; i++ {
-			e.det[i] = detect.New(e.detCfg.Detect, e.layoutRow(i), 0)
+			e.det[i] = detect.New(*e.detCfg, e.layoutRow(i), 0)
 			e.det[i].LoadState(r)
 			e.clearSent(i)
 			for _, j := range e.neighbors(i) {
@@ -540,7 +540,7 @@ func (e *Engine) RestartNode(i int) {
 		// "heard" at the restart round, and the zeroed last-sent row
 		// triggers an immediate keepalive burst announcing the rebirth
 		// to every live neighbor.
-		e.det[i] = detect.New(e.detCfg.Detect, e.neighbors(i), float64(e.round))
+		e.det[i] = detect.New(*e.detCfg, e.neighbors(i), float64(e.round))
 		e.clearSent(i)
 	}
 	e.recomputeTargets()

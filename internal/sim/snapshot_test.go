@@ -26,7 +26,7 @@ func snapshotEngine(mk func() gossip.Protocol, seed int64, p int) *sim.Engine {
 	}
 	return sim.NewScalar(g, fuzzProtos(n, mk), inputs, gossip.Average, seed,
 		sim.WithShards(p),
-		sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+		sim.WithDetector(detect.Config{Timeout: 30}))
 }
 
 // snapshotPlans is the fault-plan domain of the round-trip property
@@ -198,7 +198,7 @@ func TestSnapshotErrors(t *testing.T) {
 		t.Fatal("Restore into a different-size engine must fail")
 	}
 	withDet := sim.NewScalar(g, fuzzProtos(g.N(), mk), inputs, gossip.Average, 1, sim.WithShards(2),
-		sim.WithDetector(sim.DetectorConfig{Detect: detect.Config{Timeout: 30}}))
+		sim.WithDetector(detect.Config{Timeout: 30}))
 	if err := withDet.Restore(snap); err == nil {
 		t.Fatal("Restore of a detector-less snapshot into a detector engine must fail")
 	}

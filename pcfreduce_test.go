@@ -446,7 +446,6 @@ func TestWeightedReduceOptions(t *testing.T) {
 		{"aggregate-sum", pcfreduce.ReduceOptions{Aggregate: pcfreduce.Sum}},
 		{"shards1", pcfreduce.ReduceOptions{Shards: 1}},
 		{"shards2", pcfreduce.ReduceOptions{Shards: 2}},
-		{"cacheaware", pcfreduce.ReduceOptions{Shards: 2, CacheAware: true}},
 		{"loss", pcfreduce.ReduceOptions{LossRate: 0.05}},
 		{"linkfailure", pcfreduce.ReduceOptions{LinkFailures: link}},
 		{"linkfailure-shards2", pcfreduce.ReduceOptions{Shards: 2, LinkFailures: link}},
@@ -817,32 +816,6 @@ func TestReduceBatchValidation(t *testing.T) {
 	})
 }
 
-// The cache-aware layout changes nothing but locality: byte-identical
-// estimates, rounds and error to the contiguous sharded run.
-func TestReduceCacheAwareByteIdentical(t *testing.T) {
-	g := pcfreduce.Grid2D(8, 8)
-	in := inputsFor(g)
-	base := pcfreduce.ReduceOptions{Topology: g, Eps: 1e-13, Shards: 4}
-	contig, err := pcfreduce.Reduce(in, pcfreduce.PCF, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca := base
-	ca.CacheAware = true
-	got, err := pcfreduce.Reduce(in, pcfreduce.PCF, ca)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rounds != contig.Rounds || got.MaxError != contig.MaxError {
-		t.Fatalf("cache-aware run diverges: %+v vs %+v", got, contig)
-	}
-	for i := range got.Estimates {
-		if got.Estimates[i] != contig.Estimates[i] {
-			t.Fatalf("node %d: %.17g vs %.17g", i, got.Estimates[i], contig.Estimates[i])
-		}
-	}
-}
-
 // Batched QR: m reductions instead of 2m−1, fewer total rounds, same
 // factorization quality.
 func TestQRBatched(t *testing.T) {
@@ -852,7 +825,7 @@ func TestQRBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := pcfreduce.QR(v, pcfreduce.PCF, pcfreduce.QROptions{Topology: g, Batched: true, Shards: 2, CacheAware: true})
+	batched, err := pcfreduce.QR(v, pcfreduce.PCF, pcfreduce.QROptions{Topology: g, Batched: true, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
