@@ -12,12 +12,9 @@
 // the detector here follows the same philosophy: detection and healing
 // are part of the protocol stack, not an external assumption.
 //
-// The Detector is a pure state machine over an abstract clock, so the
-// concurrent runtime drives one instance per node with wall-clock seconds
-// while the round simulator drives a mirrored instance with round
-// numbers — detection-latency experiments are therefore exactly
-// reproducible in the simulator and the same code paths run for real in
-// the goroutine runtime.
+// The Detector is a pure state machine over an abstract clock. The
+// round simulator drives one instance per node with round numbers as
+// time, so detection-latency experiments are exactly reproducible.
 //
 // Two suspicion policies are provided:
 //
@@ -36,7 +33,7 @@
 //     detector adapts to each link's actual traffic cadence.
 //
 // Suspicion is not permanent: Heard on a suspected neighbor reports a
-// reintegration, which the engines translate into OnLinkRecover on the
+// reintegration, which the simulator translates into OnLinkRecover on the
 // protocol (the self-healing path). Remove withdraws a neighbor for good
 // when an authoritative notification (the oracle, or an administrative
 // action) confirms the failure, stopping further monitoring and probing.

@@ -8,24 +8,21 @@
 // Beyond the paper's notified failures, Plan also schedules the
 // oracle-free events of the detection layer: silent link outages
 // (SilentLinkFailure / LinkOutage), silent node crashes
-// (SilentNodeCrash) and transient node freezes (NodeHang / NodeOutage).
-// The same Plan drives both execution engines — Plan.OnRound plugs into
-// the round simulator, Plan.RunOn replays the schedule on a wall-clock
-// tick against any Runner, notably the concurrent runtime.Network.
+// (SilentNodeCrash) and transient node freezes (NodeHang / NodeOutage),
+// plus checkpoint-restart and open-world churn (joins, graceful leaves,
+// rewires, per-link loss). Plan.OnRound plugs the schedule into the
+// round simulator.
 //
 // All injectors are deterministic given their seed, so every faulty
 // experiment in this repository is exactly reproducible.
 package fault
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"pcfreduce/internal/gossip"
-	"pcfreduce/internal/metrics"
 	"pcfreduce/internal/sim"
 )
 
@@ -68,16 +65,9 @@ type BitFlip struct {
 	// Bounded restricts flips to mantissa and sign bits.
 	Bounded bool
 	rng     *rand.Rand
-	rec     *metrics.Recorder
 	// Flips counts injected flips, for test assertions.
 	Flips int
 }
-
-// SetRecorder attaches a metrics recorder: every injected flip also
-// increments the msgs_corrupted counter (nil detaches). The simulator
-// invokes interceptors single-threaded; the runtime wraps them in
-// Locked — either way IncShared is safe.
-func (b *BitFlip) SetRecorder(rec *metrics.Recorder) { b.rec = rec }
 
 // NewBitFlip returns a seeded full-range (all 64 bits) flip injector.
 func NewBitFlip(p float64, seed int64) *BitFlip {
@@ -124,7 +114,6 @@ func (b *BitFlip) Intercept(round int, msg *gossip.Message) bool {
 	}
 	*target = math.Float64frombits(math.Float64bits(*target) ^ (1 << bit))
 	b.Flips++
-	b.rec.IncShared(metrics.MsgsCorrupted)
 	return true
 }
 
@@ -243,8 +232,8 @@ type Op int
 const (
 	// OpLinkFail is the quiescent, notified link failure (Figs. 4/7).
 	OpLinkFail Op = iota + 1
-	// OpLinkFailAbrupt loses in-flight messages; on engines without a
-	// quiescent-flush path (the concurrent runtime) it equals OpLinkFail.
+	// OpLinkFailAbrupt is the notified link failure that loses the
+	// link's in-flight messages (sim.Engine.FailLinkAbrupt).
 	OpLinkFailAbrupt
 	// OpNodeCrash is the notified node crash.
 	OpNodeCrash
@@ -286,8 +275,7 @@ const (
 
 // Event is one scheduled failure (permanent, silent, or transient).
 type Event struct {
-	// Round at which the failure strikes (before the round executes; in
-	// Plan.RunOn it is a multiple of the tick duration).
+	// Round at which the failure strikes (before the round executes).
 	Round int
 	// A, B are the endpoints of a link operation (-1 otherwise).
 	A, B int
@@ -478,30 +466,8 @@ func CrashRestart(crashRound, restartRound, node int) []Event {
 	return []Event{SilentNodeCrash(crashRound, node), NodeRestart(restartRound, node)}
 }
 
-// Runner is the fault-injection surface shared by both execution
-// engines: sim.Engine and runtime.Network implement it, so one Plan can
-// drive a round-based simulation and a live concurrent run. The methods
-// mirror the engines' documented semantics; see their doc comments.
-// The last four are the open-world membership operations.
-type Runner interface {
-	FailLink(i, j int)
-	CrashNode(i int)
-	SilenceLink(i, j int)
-	RestoreLink(i, j int)
-	CrashNodeSilent(i int)
-	HangNode(i int)
-	ResumeNode(i int)
-	CheckpointNode(i int)
-	RestartNode(i int)
-	JoinNode(id int, value float64, peers []int)
-	LeaveNode(i int)
-	RewireEdge(a, b, c int)
-	SetLinkLoss(a, b int, p float64)
-}
-
 // Plan is a schedule of failures. Its OnRound method plugs into
-// sim.RunConfig.OnRound; RunOn replays the same schedule against any
-// Runner (notably runtime.Network) on a wall-clock tick.
+// sim.RunConfig.OnRound.
 type Plan struct {
 	events []Event
 }
@@ -523,80 +489,42 @@ func (p *Plan) Events() []Event {
 	return append([]Event(nil), p.events...)
 }
 
-// OnRound applies all events scheduled for the given round.
+// OnRound applies all events scheduled for the given round, in
+// schedule order.
 func (p *Plan) OnRound(e *sim.Engine, round int) {
 	for _, ev := range p.events {
 		if ev.Round != round {
 			continue
 		}
-		if ev.Op == OpLinkFailAbrupt {
+		switch ev.Op {
+		case OpLinkFail:
+			e.FailLink(ev.A, ev.B)
+		case OpLinkFailAbrupt:
 			e.FailLinkAbrupt(ev.A, ev.B)
-			continue
+		case OpNodeCrash:
+			e.CrashNode(ev.Node)
+		case OpLinkSilence:
+			e.SilenceLink(ev.A, ev.B)
+		case OpLinkRestore:
+			e.RestoreLink(ev.A, ev.B)
+		case OpNodeCrashSilent:
+			e.CrashNodeSilent(ev.Node)
+		case OpNodeHang:
+			e.HangNode(ev.Node)
+		case OpNodeResume:
+			e.ResumeNode(ev.Node)
+		case OpNodeCheckpoint:
+			e.CheckpointNode(ev.Node)
+		case OpNodeRestart:
+			e.RestartNode(ev.Node)
+		case OpNodeJoin:
+			e.JoinNode(ev.Node, ev.Value, ev.Peers)
+		case OpNodeLeave:
+			e.LeaveNode(ev.Node)
+		case OpEdgeRewire:
+			e.RewireEdge(ev.A, ev.B, ev.C)
+		case OpSetLinkLoss:
+			e.SetLinkLoss(ev.A, ev.B, ev.P)
 		}
-		apply(e, ev)
 	}
-}
-
-// apply executes one event against a Runner. OpLinkFailAbrupt maps to
-// FailLink: the generic Runner surface has no quiescent-flush notion
-// (the concurrent runtime's FailLink is already abrupt); OnRound keeps
-// the distinction for the simulator.
-func apply(r Runner, ev Event) {
-	switch ev.Op {
-	case OpLinkFail, OpLinkFailAbrupt:
-		r.FailLink(ev.A, ev.B)
-	case OpNodeCrash:
-		r.CrashNode(ev.Node)
-	case OpLinkSilence:
-		r.SilenceLink(ev.A, ev.B)
-	case OpLinkRestore:
-		r.RestoreLink(ev.A, ev.B)
-	case OpNodeCrashSilent:
-		r.CrashNodeSilent(ev.Node)
-	case OpNodeHang:
-		r.HangNode(ev.Node)
-	case OpNodeResume:
-		r.ResumeNode(ev.Node)
-	case OpNodeCheckpoint:
-		r.CheckpointNode(ev.Node)
-	case OpNodeRestart:
-		r.RestartNode(ev.Node)
-	case OpNodeJoin:
-		r.JoinNode(ev.Node, ev.Value, ev.Peers)
-	case OpNodeLeave:
-		r.LeaveNode(ev.Node)
-	case OpEdgeRewire:
-		r.RewireEdge(ev.A, ev.B, ev.C)
-	case OpSetLinkLoss:
-		r.SetLinkLoss(ev.A, ev.B, ev.P)
-	}
-}
-
-// RunOn replays the plan against a live Runner, interpreting each
-// event's Round as a multiple of tick since the call: an event with
-// Round r fires r×tick after RunOn starts. Events are applied in Round
-// order; same-round events fire in schedule order. RunOn blocks until
-// the last event has been applied or ctx is cancelled (returning
-// ctx.Err() in that case), so it is typically launched in its own
-// goroutine alongside runtime.Network.Run.
-func (p *Plan) RunOn(ctx context.Context, r Runner, tick time.Duration) error {
-	if tick <= 0 {
-		panic("fault: RunOn tick must be positive")
-	}
-	evs := p.Events()
-	sort.SliceStable(evs, func(a, b int) bool { return evs[a].Round < evs[b].Round })
-	start := time.Now()
-	for _, ev := range evs {
-		if wait := time.Duration(ev.Round)*tick - time.Since(start); wait > 0 {
-			timer := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				timer.Stop()
-				return ctx.Err()
-			case <-timer.C:
-			}
-		}
-		apply(r, ev)
-	}
-	return nil
 }

@@ -1,13 +1,11 @@
 package fault
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"pcfreduce/internal/gossip"
+	"pcfreduce/internal/metrics"
 	"pcfreduce/internal/pushflow"
 	"pcfreduce/internal/sim"
 	"pcfreduce/internal/topology"
@@ -283,69 +281,76 @@ func TestPlanFiresSilentEvents(t *testing.T) {
 	}
 }
 
-// recorder is a Runner that logs the operations applied to it.
-type recorder struct{ ops []string }
-
-func (r *recorder) FailLink(i, j int)     { r.ops = append(r.ops, fmt.Sprintf("fail %d-%d", i, j)) }
-func (r *recorder) CrashNode(i int)       { r.ops = append(r.ops, fmt.Sprintf("crash %d", i)) }
-func (r *recorder) SilenceLink(i, j int)  { r.ops = append(r.ops, fmt.Sprintf("silence %d-%d", i, j)) }
-func (r *recorder) RestoreLink(i, j int)  { r.ops = append(r.ops, fmt.Sprintf("restore %d-%d", i, j)) }
-func (r *recorder) CrashNodeSilent(i int) { r.ops = append(r.ops, fmt.Sprintf("scrash %d", i)) }
-func (r *recorder) HangNode(i int)        { r.ops = append(r.ops, fmt.Sprintf("hang %d", i)) }
-func (r *recorder) ResumeNode(i int)      { r.ops = append(r.ops, fmt.Sprintf("resume %d", i)) }
-func (r *recorder) CheckpointNode(i int)  { r.ops = append(r.ops, fmt.Sprintf("ckpt %d", i)) }
-func (r *recorder) RestartNode(i int)     { r.ops = append(r.ops, fmt.Sprintf("restart %d", i)) }
-func (r *recorder) JoinNode(id int, value float64, peers []int) {
-	r.ops = append(r.ops, fmt.Sprintf("join %d v=%g peers=%v", id, value, peers))
-}
-func (r *recorder) LeaveNode(i int) { r.ops = append(r.ops, fmt.Sprintf("leave %d", i)) }
-func (r *recorder) RewireEdge(a, b, c int) {
-	r.ops = append(r.ops, fmt.Sprintf("rewire %d-%d>%d", a, b, c))
-}
-func (r *recorder) SetLinkLoss(a, b int, p float64) {
-	r.ops = append(r.ops, fmt.Sprintf("loss %d-%d=%g", a, b, p))
-}
-
-// Both engines satisfy the Runner surface (runtime.Network is asserted
-// in the runtime package to keep import directions clean).
-var _ Runner = (*sim.Engine)(nil)
-
-// RunOn replays events in Round order on the tick clock, regardless of
-// schedule order, and honors cancellation.
-func TestPlanRunOn(t *testing.T) {
+// TestPlanOnRoundAppliesEveryOp drives one event per Op, each on its
+// own round, through Plan.OnRound on a small engine and checks that the
+// trace holds each op's event kind at that op's round.
+func TestPlanOnRoundAppliesEveryOp(t *testing.T) {
+	g := topology.Hypercube(3)
+	protos := make([]gossip.Protocol, g.N())
+	for i := range protos {
+		protos[i] = pushflow.New()
+	}
+	inputs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	e := sim.NewScalar(g, protos, inputs, gossip.Average, 1,
+		sim.WithJoinFactory(func() gossip.Protocol { return pushflow.New() }))
+	rec := metrics.New(metrics.Config{Interval: 100})
+	e.SetMetrics(rec)
 	plan := NewPlan(
+		LinkFailure(1, 0, 1),
+		AbruptLinkFailure(2, 2, 3),
 		NodeCrash(3, 7),
-		SilentLinkFailure(1, 0, 1),
-		LinkRestore(2, 0, 1),
-		LinkFailure(0, 4, 5),
+		SilentLinkFailure(4, 4, 5),
+		LinkRestore(5, 4, 5),
+		SilentNodeCrash(6, 6),
+		NodeHang(7, 2),
+		NodeResume(8, 2),
+		NodeCheckpoint(9, 3),
+		NodeRestart(10, 6),
+		NodeJoin(11, 8, 1.5, 0, 2),
+		NodeLeave(12, 5),
+		EdgeRewire(13, 0, 4, 3),
+		SetLinkLoss(14, 1, 3, 0.2),
 	)
-	rec := &recorder{}
-	if err := plan.RunOn(context.Background(), rec, 100*time.Microsecond); err != nil {
+	if err := plan.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"fail 4-5", "silence 0-1", "restore 0-1", "crash 7"}
-	if len(rec.ops) != len(want) {
-		t.Fatalf("ops = %v, want %v", rec.ops, want)
-	}
-	for i := range want {
-		if rec.ops[i] != want[i] {
-			t.Fatalf("ops = %v, want %v", rec.ops, want)
-		}
-	}
-}
+	e.Run(sim.RunConfig{MaxRounds: 16, OnRound: plan.OnRound})
 
-func TestPlanRunOnCancellation(t *testing.T) {
-	plan := NewPlan(NodeCrash(1000000, 0)) // far in the future
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- plan.RunOn(ctx, &recorder{}, time.Millisecond) }()
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("cancelled RunOn returned nil")
+	want := map[Op]metrics.EventKind{
+		OpLinkFail:        metrics.EvLinkFail,
+		OpLinkFailAbrupt:  metrics.EvLinkFailAbrupt,
+		OpNodeCrash:       metrics.EvNodeCrash,
+		OpLinkSilence:     metrics.EvLinkSilence,
+		OpLinkRestore:     metrics.EvLinkRestore,
+		OpNodeCrashSilent: metrics.EvNodeCrashSilent,
+		OpNodeHang:        metrics.EvNodeHang,
+		OpNodeResume:      metrics.EvNodeResume,
+		OpNodeCheckpoint:  metrics.EvNodeCheckpoint,
+		OpNodeRestart:     metrics.EvNodeRestart,
+		OpNodeJoin:        metrics.EvNodeJoin,
+		OpNodeLeave:       metrics.EvNodeLeave,
+		OpEdgeRewire:      metrics.EvEdgeRewire,
+		OpSetLinkLoss:     metrics.EvSetLinkLoss,
+	}
+	got := rec.Events()
+	seen := map[Op]bool{}
+	for _, ev := range plan.Events() {
+		seen[ev.Op] = true
+		kind := want[ev.Op]
+		found := false
+		for _, tr := range got {
+			if tr.Kind == kind && tr.Round == ev.Round {
+				found = true
+				break
+			}
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("RunOn did not return after cancellation")
+		if !found {
+			t.Errorf("%v at round %d: no %v event in the trace %v", ev.Op, ev.Round, kind, got)
+		}
+	}
+	for op := OpLinkFail; op <= OpSetLinkLoss; op++ {
+		if _, ok := want[op]; !ok || !seen[op] {
+			t.Errorf("%v is not covered by the plan", op)
+		}
 	}
 }

@@ -37,8 +37,9 @@ const (
 	// MsgsDropped counts messages vetoed by a fault interceptor (loss
 	// or reorder injection).
 	MsgsDropped
-	// MsgsCorrupted counts payloads corrupted in flight by the bit-flip
-	// injector.
+	// MsgsCorrupted has no writer: the bit-flip injector counts its
+	// flips in fault.BitFlip.Flips. The slot stays so that Sample's
+	// layout, and every sample recorded against it, is unchanged.
 	MsgsCorrupted
 	// Keepalives counts keepalive/probe control messages emitted by the
 	// failure-detection layer.

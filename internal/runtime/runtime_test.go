@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pcfreduce/internal/core"
-	"pcfreduce/internal/fault"
 	"pcfreduce/internal/gossip"
 	"pcfreduce/internal/pushflow"
 	"pcfreduce/internal/pushsum"
@@ -93,36 +92,6 @@ func TestLinkFailureDuringRun(t *testing.T) {
 	}
 }
 
-func TestInterceptorLoss(t *testing.T) {
-	g := topology.Hypercube(4)
-	net := mustNew(t, Config{
-		Graph:       g,
-		NewProtocol: func() gossip.Protocol { return core.NewRobust() },
-		Init:        scalarInit(g.N(), gossip.Average),
-		Seed:        3,
-		Interceptor: Locked(fault.NewLoss(0.1, 9)),
-	})
-	res := mustRun(t, net, RunConfig{Eps: 1e-9, Timeout: 10 * time.Second, Stable: 3})
-	if !res.Converged {
-		t.Fatalf("did not converge under 10%% loss: %.3e", res.FinalMaxError)
-	}
-}
-
-func TestPushSumBreaksUnderLossConcurrently(t *testing.T) {
-	g := topology.Hypercube(4)
-	net := mustNew(t, Config{
-		Graph:       g,
-		NewProtocol: func() gossip.Protocol { return pushsum.New() },
-		Init:        scalarInit(g.N(), gossip.Average),
-		Seed:        3,
-		Interceptor: Locked(fault.NewLoss(0.1, 9)),
-	})
-	res := mustRun(t, net, RunConfig{Eps: 1e-11, Timeout: 1 * time.Second, Stable: 3})
-	if res.Converged {
-		t.Fatal("push-sum converged to 1e-11 despite sustained loss — impossible")
-	}
-}
-
 func TestTinyInboxBackpressure(t *testing.T) {
 	g := topology.Complete(8)
 	net := mustNew(t, Config{
@@ -176,28 +145,6 @@ func TestEstimatesSnapshot(t *testing.T) {
 		if len(est) != 1 || math.IsNaN(est[0]) {
 			t.Fatalf("node %d estimate %v before run", i, est)
 		}
-	}
-}
-
-// Oracle-free termination: the spread criterion converges without any
-// knowledge of the true aggregate, and the result is nevertheless close
-// to it.
-func TestOracleFreeTermination(t *testing.T) {
-	g := topology.Hypercube(5)
-	net := mustNew(t, Config{
-		Graph:       g,
-		NewProtocol: func() gossip.Protocol { return core.NewEfficient() },
-		Init:        scalarInit(g.N(), gossip.Average),
-		Seed:        6,
-	})
-	res := mustRun(t, net, RunConfig{
-		Eps: 1e-9, Timeout: 10 * time.Second, Stable: 3, OracleFree: true,
-	})
-	if !res.Converged {
-		t.Fatalf("spread criterion not met: %.3e", res.FinalMaxError)
-	}
-	if err := net.MaxError(); err > 1e-8 {
-		t.Fatalf("spread converged but oracle error is %.3e", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -217,7 +218,7 @@ func TestShardDeterminismFaults(t *testing.T) {
 			}
 			suspected := false
 			for _, j32 := range g.Neighbors(crash) {
-				if crossContains(eng.Suspects(int(j32)), crash) {
+				if slices.Contains(eng.Suspects(int(j32)), crash) {
 					suspected = true
 				}
 			}

@@ -44,11 +44,9 @@
 // corruption) and the FailLink/CrashNode methods (permanent failures with
 // endpoint notification, as assumed in Sec. II-C). The oracle-free model
 // is available too: SilenceLink/CrashNodeSilent/HangNode inject failures
-// that nobody is told about, and WithDetector runs the same
-// detect.Detector state machine as the concurrent runtime — driven by
-// round numbers instead of wall-clock seconds — so detection latency and
-// false-positive behaviour are exactly reproducible here before being
-// observed under real concurrency.
+// that nobody is told about, and WithDetector runs the detect.Detector
+// state machine on every node, driven by round numbers, so detection
+// latency and false-positive behaviour are exactly reproducible.
 package sim
 
 import (

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pcfreduce/internal/core"
@@ -262,7 +263,7 @@ func TestCrashRestartRecovers(t *testing.T) {
 	}
 	g := e.Graph()
 	for _, j32 := range g.Neighbors(victim) {
-		if crossContains(e.Suspects(int(j32)), victim) {
+		if slices.Contains(e.Suspects(int(j32)), victim) {
 			t.Fatalf("neighbor %d still suspects the restarted victim", j32)
 		}
 	}

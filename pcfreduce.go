@@ -480,7 +480,7 @@ type ConcurrentOptions struct {
 	Seed int64
 	// Metrics, when non-nil, attaches the recorder for the run: shared
 	// atomic counters, wall-clock invariant samples at the monitor
-	// cadence, and the fault / detector event trace.
+	// cadence, and the event trace.
 	Metrics *MetricsRecorder
 	// MetricsAddr, when non-empty, serves the recorder on an opt-in HTTP
 	// endpoint (Prometheus text at /metrics, expvar at /debug/vars, pprof
